@@ -13,13 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloner import Channel, refine_supremum
+from .cloner import Channel, _sampled_supremum
 from .errors import ChannelPropertyError
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
     DensityOperator,
-    haar_state,
     one_body_operator,
     product_power,
     single_site_marginal,
@@ -304,18 +303,7 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
             best_site = max(best_site, float(np.sum(vals[vals > 0])))
         return best_site
 
-    best = 0.0
-    top: list[tuple[float, np.ndarray]] = []
-    for i in range(samples):
-        psi = haar_state(d, seed=hash((seed, i)) & 0xFFFFFFFF)
-        val = value(psi.amplitudes)
-        top.append((val, psi.amplitudes))
-        top.sort(key=lambda t: -t[0])
-        del top[5:]
-        best = max(best, val)
-    for rank, (_, amps) in enumerate(top):
-        best = max(best, refine_supremum(value, amps, seed=seed + 2000 + rank))
-    return best
+    return _sampled_supremum(value, d, samples, seed, refine_seed=seed + 2000)
 
 
 # ---------------------------------------------------------------------------

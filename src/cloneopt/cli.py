@@ -333,7 +333,6 @@ def _add_common(p, need_m=True, samples_default=None):
         p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--guard", type=int, default=None)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,13 +7,13 @@ full-tensor construction is kept as an oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import DimensionGuardError
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
@@ -29,7 +29,7 @@ from .tensor_core import (
     sym_embed,
     symmetrizer,
 )
-from .tolerances import STRUCTURAL_TOL
+from .tolerances import KRAUS_ENTRY_GUARD, STRUCTURAL_TOL
 
 __all__ = [
     "ClonerSpec",
@@ -145,30 +145,31 @@ class Channel:
 def optimal_cloner(spec: ClonerSpec) -> Channel:
     """The optimal N -> M cloner in occupation bases (fast path).
 
-    Kraus index J runs over the full product basis of the M-N appended
-    sites; duplicate and zero operators are kept for oracle comparability.
+    One Kraus operator per occupation vector c of the M-N appended sites,
+    binom(d+M-N-1, M-N) in all: the d^(M-N) product-basis operators whose
+    words have letter counts c coincide, and merge into one weighted by
+    sqrt((M-N)!/prod c_i!).  Raises DimensionGuardError, before building
+    anything, when the operators would hold more than KRAUS_ENTRY_GUARD
+    entries.
     """
     d, N, M = spec.d, spec.n_in, spec.m_out
+    dim_n, dim_m = sym_dimension(d, N), sym_dimension(d, M)
+    entries = sym_dimension(d, M - N) * dim_m * dim_n
+    if entries > KRAUS_ENTRY_GUARD:
+        raise DimensionGuardError(
+            f"optimal cloner for (d, N, M) = ({d}, {N}, {M}) needs {entries} "
+            f"Kraus entries, above the guard {KRAUS_ENTRY_GUARD}"
+        )
     basis_n = occupation_basis(d, N)
     index_m = occupation_index(d, M)
-    dim_m = len(index_m)
-    scale = math.sqrt(sym_dimension(d, N) / sym_dimension(d, M))
-    fact_ratio = math.factorial(N) / math.factorial(M)
-
-    def prod_fact(v):
-        return math.prod(math.factorial(x) for x in v)
-
+    # squared entry: (d[N]/d[M]) prod_i binom(m_i, n_i) / binom(M, N)
+    coeff = dim_n / (dim_m * math.comb(M, N))
     kraus = []
-    for word in itertools.product(range(d), repeat=M - N):
-        counts = [0] * d
-        for s in word:
-            counts[s] += 1
-        K = np.zeros((dim_m, len(basis_n)), dtype=complex)
+    for c in occupation_basis(d, M - N):
+        K = np.zeros((dim_m, dim_n), dtype=complex)
         for col, n in enumerate(basis_n):
-            m = tuple(n[i] + counts[i] for i in range(d))
-            K[index_m[m], col] = scale * math.sqrt(
-                fact_ratio * prod_fact(m) / prod_fact(n)
-            )
+            m = tuple(a + b for a, b in zip(n, c))
+            K[index_m[m], col] = math.sqrt(coeff * math.prod(map(math.comb, m, n)))
         kraus.append(K)
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
@@ -243,6 +244,20 @@ def refine_supremum(value_fn, psi0: np.ndarray, seed: int, iters: int = 20) -> f
     return best
 
 
+def _sampled_supremum(value_fn, d: int, samples: int, seed: int, refine_seed: int) -> float:
+    """Max of 0 and value_fn over Haar states of C^d seeded by hash((seed, i));
+    the five best (ties in sample order) are refined from seed refine_seed on."""
+    scored = []
+    for i in range(samples):
+        amps = haar_state(d, seed=hash((seed, i)) & 0xFFFFFFFF).amplitudes
+        scored.append((value_fn(amps), amps))
+    best = max([0.0] + [val for val, _ in scored])
+    top = sorted(scored, key=lambda t: -t[0])[:5]
+    for rank, (_, amps) in enumerate(top):
+        best = max(best, refine_supremum(value_fn, amps, seed=refine_seed + rank))
+    return best
+
+
 def delta_all_numeric(
     spec: ClonerSpec, samples: int = 500, seed: int = 0
 ) -> float:
@@ -261,15 +276,4 @@ def delta_all_numeric(
         diff -= np.outer(v_out, v_out.conj())
         return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
-    best = 0.0
-    top: list[tuple[float, np.ndarray]] = []
-    for i in range(samples):
-        psi = haar_state(spec.d, seed=hash((seed, i)) & 0xFFFFFFFF)
-        val = value(psi.amplitudes)
-        top.append((val, psi.amplitudes))
-        top.sort(key=lambda t: -t[0])
-        del top[5:]
-        best = max(best, val)
-    for rank, (_, amps) in enumerate(top):
-        best = max(best, refine_supremum(value, amps, seed=seed + 1000 + rank))
-    return best
+    return _sampled_supremum(value, spec.d, samples, seed, refine_seed=seed + 1000)

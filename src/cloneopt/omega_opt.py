@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DimensionGuardError
 from .rep_theory import casimirs, check_dominant, conjugate_weight, is_dominant
 
 __all__ = [
@@ -161,7 +162,7 @@ def enumerate_W1(
     if d < 2 or N < 0 or M < 0:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
     if M > m_guard or d > d_guard:
-        raise ValueError(
+        raise DimensionGuardError(
             f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
         )
     points = []

@@ -1,7 +1,10 @@
 """CLI surface: subcommands, JSON schema, exit codes, reproducibility."""
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +144,32 @@ def test_exit_codes():
     # usage: malformed weight
     code, _ = capture(["rep", "casimir", "--weight", "1,2"])
     assert code == 2
+
+
+def test_omega_max_guard_exits_3(capsys):
+    code = run(["omega", "max", "--d", "8", "--n", "10", "--m", "31"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (8, 1, 64),
+                                   (8, 64, 64), (5, 2, 12)])
+@pytest.mark.parametrize("sub", ["marginal", "apply", "overlap"])
+def test_cloner_edges_answer_or_refuse(sub, d, n, m):
+    # a separate process, so that a run past the guard is killed at 10 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cloneopt.cli", "cloner", sub,
+         "--d", str(d), "--n", str(n), "--m", str(m)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_table_format():

@@ -10,6 +10,7 @@ from cloneopt import (
     ClonerSpec,
     DensityOperator,
     all_clone_overlap,
+    choi,
     delta_all_numeric,
     delta_one_closed_form,
     dense_cloner_output,
@@ -71,10 +72,22 @@ def test_fast_path_equals_dense_oracle(d, N, M):
 
 
 def test_kraus_count_and_shapes():
-    spec = ClonerSpec(3, 1, 3)
-    channel = optimal_cloner(spec)
-    assert len(channel.kraus) == 3 ** 2  # full product basis of appended sites
-    assert all(K.shape == (sym_dimension(3, 3), 3) for K in channel.kraus)
+    # one operator per occupation vector of the M-N blank sites, and the
+    # Choi matrix of the dense oracle on the matrix units |i><j|
+    for d, N, M in DESK_GRID:
+        spec = ClonerSpec(d, N, M)
+        channel = optimal_cloner(spec)
+        dim_n, dim_m = sym_dimension(d, N), sym_dimension(d, M)
+        assert len(channel.kraus) == math.comb(d + M - N - 1, M - N)
+        assert all(K.shape == (dim_m, dim_n) for K in channel.kraus)
+        images = np.empty((dim_n, dim_n, dim_m, dim_m), dtype=complex)
+        for i in range(dim_n):
+            for j in range(dim_n):
+                unit = np.zeros((dim_n, dim_n), dtype=complex)
+                unit[i, j] = 1.0
+                images[i, j] = dense_cloner_output(spec, unit)
+        oracle = images.transpose(0, 2, 1, 3).reshape(dim_n * dim_m, dim_n * dim_m)
+        assert np.max(np.abs(choi(channel) - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cloneopt import (
     CandidatePoint,
+    DimensionGuardError,
     contains_sym,
     conjugate_weight,
     enumerate_W1,
@@ -72,9 +73,9 @@ def test_enumerated_points_pass_branching_oracle(d, N, M):
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionGuardError):
         enumerate_W1(2, 1, 40)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionGuardError):
         enumerate_W1(9, 1, 4, d_guard=8)
 
 
