@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cloner import Channel, _sampled_supremum
-from .errors import ChannelPropertyError
+from .errors import ChannelPropertyError, DimensionGuardError
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
@@ -24,7 +24,7 @@ from .tensor_core import (
     single_site_marginal,
     sym_embed,
 )
-from .tolerances import OMEGA_RESIDUAL_TOL, STRUCTURAL_TOL
+from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL, STRUCTURAL_TOL
 
 __all__ = [
     "TwirlConfig",
@@ -129,14 +129,28 @@ def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
     )
 
 
-def choi(channel: Channel) -> np.ndarray:
+def _check_choi_guard(channel: Channel, guard: int | None) -> int:
+    """Side in_dim * out_dim of the Choi matrix; raises DimensionGuardError
+    above the dense guard."""
+    limit = DEFAULT_DENSE_GUARD if guard is None else guard
+    dim = channel.in_dim * channel.out_dim
+    if dim > limit:
+        raise DimensionGuardError(
+            f"Choi matrix of side in_dim * out_dim = {channel.in_dim} * "
+            f"{channel.out_dim} = {dim} exceeds guard {limit}"
+        )
+    return dim
+
+
+def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
     """Choi matrix of the state map, indexed (input, output) x (input, output).
 
     Convention: C = sum_ij |i><j| (x) T(|i><j|), i.e. the image of the
     unnormalized maximally entangled operator; for the identity channel
-    on C^d this is d times the maximally entangled projector.
+    on C^d this is d times the maximally entangled projector.  Raises
+    DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
-    dim = channel.in_dim * channel.out_dim
+    dim = _check_choi_guard(channel, guard)
     C = np.zeros((dim, dim), dtype=complex)
     for K in channel.kraus:
         v = K.T.reshape(-1)
@@ -170,19 +184,20 @@ def choi_to_kraus(
     return kraus
 
 
-def twirl(channel: Channel, cfg: TwirlConfig = TwirlConfig()) -> Channel:
+def twirl(
+    channel: Channel, cfg: TwirlConfig = TwirlConfig(), guard: int | None = None
+) -> Channel:
     """Monte-Carlo Haar average of tau_u(T) over seeded unitaries.
 
     The Choi matrices of the rotated channels are averaged and converted
     back to Kraus form; the result is CP and TP to statistical tolerance.
+    Raises DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
     rng = np.random.default_rng(cfg.seed)
-    acc = np.zeros(
-        (channel.in_dim * channel.out_dim,) * 2, dtype=complex
-    )
+    acc = np.zeros((_check_choi_guard(channel, guard),) * 2, dtype=complex)
     for _ in range(cfg.sample_count):
         u = haar_unitary(channel.d, rng)
-        acc += choi(conjugate_channel(channel, u))
+        acc += choi(conjugate_channel(channel, u), guard)
     acc /= cfg.sample_count
     return Channel(
         kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim),
@@ -291,19 +306,18 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     d, N, M = channel.d, channel.n_in, channel.m_out
     sites = [0] if channel.basis_out == SYMMETRIC_BASIS else list(range(M))
 
-    def value(amps: np.ndarray) -> float:
+    def values(amps: np.ndarray) -> np.ndarray:
         v = product_power(amps, N)
-        rho_out = channel.apply_fast(np.outer(v, v.conj()))
+        rho_out = channel.apply_fast(v[..., :, None] * v.conj()[..., None, :])
         dens = DensityOperator(rho_out, channel.basis_out, d, M)
-        proj = np.outer(amps, amps.conj())
-        best_site = 0.0
+        proj = amps[..., :, None] * amps.conj()[..., None, :]
+        best_site = np.zeros(amps.shape[0])
         for k in sites:
-            diff = single_site_marginal(dens, site=k) - proj
-            vals = np.linalg.eigvalsh(diff)
-            best_site = max(best_site, float(np.sum(vals[vals > 0])))
+            vals = np.linalg.eigvalsh(single_site_marginal(dens, site=k) - proj)
+            best_site = np.maximum(best_site, np.sum(np.where(vals > 0, vals, 0.0), axis=-1))
         return best_site
 
-    return _sampled_supremum(value, d, samples, seed, refine_seed=seed + 2000)
+    return _sampled_supremum(values, d, samples, seed, refine_seed=seed + 2000)
 
 
 # ---------------------------------------------------------------------------

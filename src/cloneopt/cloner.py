@@ -8,7 +8,7 @@ full-tensor construction is kept as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +19,8 @@ from .tensor_core import (
     SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
+    _haar_amplitudes,
     check_dense_guard,
-    haar_state,
     occupation_basis,
     occupation_index,
     product_power,
@@ -77,7 +77,6 @@ class Channel:
     m_out: int
     basis_in: str = SYMMETRIC_BASIS
     basis_out: str = SYMMETRIC_BASIS
-    _superop: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def in_dim(self) -> int:
@@ -88,12 +87,16 @@ class Channel:
         return self.kraus[0].shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """State map: sum_r K_r rho K_r^*."""
+        """State map: sum_r K_r rho K_r^*, broadcast over leading axes of rho."""
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
+        out = np.zeros(rho.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
         for K in self.kraus:
             out += K @ rho @ K.conj().T
         return out
+
+    # The samplers call the state map by this name, under which
+    # perfbench/spans.py counts their evaluations.
+    apply_fast = apply
 
     def apply_observable(self, A: np.ndarray) -> np.ndarray:
         """Heisenberg-picture map on observables: sum_r K_r^* A K_r."""
@@ -102,21 +105,6 @@ class Channel:
         for K in self.kraus:
             out += K.conj().T @ A @ K
         return out
-
-    def superoperator(self) -> np.ndarray:
-        """Dense matrix of the state map acting on vec(rho) (cached)."""
-        if self._superop is None:
-            S = np.zeros((self.out_dim**2, self.in_dim**2), dtype=complex)
-            for K in self.kraus:
-                S += np.kron(K, K.conj())
-            self._superop = S
-        return self._superop
-
-    def apply_fast(self, rho: np.ndarray) -> np.ndarray:
-        S = self.superoperator()
-        return (S @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(
-            self.out_dim, self.out_dim
-        )
 
     def completeness_defect(self) -> float:
         """Operator-norm distance of sum K^*K from the identity."""
@@ -225,37 +213,58 @@ def all_clone_overlap(spec: ClonerSpec, psi: PureState) -> float:
     return float(np.real(v_out.conj() @ rho_out @ v_out))
 
 
+# Sampled states evaluated per batch: large enough to amortize the numpy
+# calls, small enough that the stacked output states stay small.
+_CHUNK = 16
+
+
+def _refine_chains(values, starts: np.ndarray, seeds: list[int], iters: int = 20) -> np.ndarray:
+    """Run refine_supremum's chains in lockstep, one batched values() call
+    per step; chain c draws from default_rng(seeds[c]) exactly as alone."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best_psi = np.array(starts, dtype=complex)
+    best = values(best_psi)
+    step = np.full(len(rngs), 0.3)
+    d = best_psi.shape[1]
+    for _ in range(iters):
+        z = np.array([rng.normal(size=d) + 1j * rng.normal(size=d) for rng in rngs])
+        cand = best_psi + step[:, None] * z
+        for row in cand:
+            row /= np.linalg.norm(row)
+        val = values(cand)
+        better = val > best
+        best = np.where(better, val, best)
+        best_psi[better] = cand[better]
+        step = np.where(better, step, step * 0.7)
+    return best
+
+
 def refine_supremum(value_fn, psi0: np.ndarray, seed: int, iters: int = 20) -> float:
     """Gradient-free local refinement: random perturbations with a
     shrinking step, keeping the best value seen."""
-    rng = np.random.default_rng(seed)
-    best_psi = np.asarray(psi0, dtype=complex)
-    best = value_fn(best_psi)
-    step = 0.3
-    for _ in range(iters):
-        z = rng.normal(size=best_psi.shape[0]) + 1j * rng.normal(size=best_psi.shape[0])
-        cand = best_psi + step * z
-        cand /= np.linalg.norm(cand)
-        val = value_fn(cand)
-        if val > best:
-            best, best_psi = val, cand
-        else:
-            step *= 0.7
-    return best
+
+    def values(batch: np.ndarray) -> np.ndarray:
+        return np.array([value_fn(psi) for psi in batch])
+
+    return float(_refine_chains(values, [psi0], [seed], iters)[0])
 
 
-def _sampled_supremum(value_fn, d: int, samples: int, seed: int, refine_seed: int) -> float:
-    """Max of 0 and value_fn over Haar states of C^d seeded by hash((seed, i));
-    the five best (ties in sample order) are refined from seed refine_seed on."""
-    scored = []
-    for i in range(samples):
-        amps = haar_state(d, seed=hash((seed, i)) & 0xFFFFFFFF).amplitudes
-        scored.append((value_fn(amps), amps))
-    best = max([0.0] + [val for val, _ in scored])
-    top = sorted(scored, key=lambda t: -t[0])[:5]
-    for rank, (_, amps) in enumerate(top):
-        best = max(best, refine_supremum(value_fn, amps, seed=refine_seed + rank))
-    return best
+def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int) -> float:
+    """Max of 0 and values() over Haar states of C^d seeded by hash((seed, i)),
+    evaluated _CHUNK states per call; the five best (ties in sample order)
+    are refined in lockstep from seeds refine_seed + rank.  values maps
+    amplitudes (B, d) to B values."""
+    if samples <= 0:
+        return 0.0
+    states = np.array(
+        [_haar_amplitudes(d, hash((seed, i)) & 0xFFFFFFFF) for i in range(samples)]
+    )
+    scores = np.concatenate(
+        [values(states[k:k + _CHUNK]) for k in range(0, samples, _CHUNK)]
+    )
+    top = np.argsort(-scores, kind="stable")[:5]
+    refined = _refine_chains(values, states[top], [refine_seed + r for r in range(len(top))])
+    return float(max(0.0, scores.max(), refined.max()))
 
 
 def delta_all_numeric(
@@ -269,11 +278,11 @@ def delta_all_numeric(
     """
     channel = optimal_cloner(spec)
 
-    def value(amps: np.ndarray) -> float:
+    def values(amps: np.ndarray) -> np.ndarray:
         v_in = product_power(amps, spec.n_in)
         v_out = product_power(amps, spec.m_out)
-        diff = channel.apply_fast(np.outer(v_in, v_in.conj()))
-        diff -= np.outer(v_out, v_out.conj())
-        return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        diff = channel.apply_fast(v_in[..., :, None] * v_in.conj()[..., None, :])
+        diff -= v_out[..., :, None] * v_out.conj()[..., None, :]
+        return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
-    return _sampled_supremum(value, spec.d, samples, seed, refine_seed=seed + 1000)
+    return _sampled_supremum(values, spec.d, samples, seed, refine_seed=seed + 1000)

@@ -10,6 +10,7 @@ occupation basis is ordered reverse-lexicographically everywhere.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,25 +48,65 @@ def sym_dimension(d: int, N: int) -> int:
     return math.comb(d + N - 1, N)
 
 
-def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
-    """All occupation vectors (n_1,...,n_d) with sum N, reverse-lexicographic."""
+class _OccupationTable:
+    """Integer tables of the occupation basis of (C^d)^{x N}, built once per (d, N).
+
+    occ[j] is the j-th occupation vector and sqrt_multinomial[j] is
+    sqrt(N! / prod occ[j]!).  The hop arrays list every move of one
+    particle from a mode `low` (occupied in column `col`) to a mode
+    `high`: it lands on row `row` with amplitude `weight` =
+    sqrt(n_low * (n_high - [low == high] + 1)).  Hops run in (low, high,
+    col) order; hop_starts[low * d + high] is where each pair begins.
+    """
+
+    def __init__(self, d: int, N: int):
+        def _gen(slots: int, total: int):
+            if slots == 1:
+                yield (total,)
+                return
+            for first in range(total, -1, -1):
+                for rest in _gen(slots - 1, total - first):
+                    yield (first,) + rest
+
+        self.basis = tuple(_gen(d, N))
+        self.index = {n: j for j, n in enumerate(self.basis)}
+        self.occ = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), d)
+        self.sqrt_multinomial = np.array([
+            math.sqrt(math.factorial(N) / math.prod(math.factorial(k) for k in n))
+            for n in self.basis
+        ])
+        # an occupation vector is a number in radix N + 1; moving one
+        # particle from low to high adds radix[high] - radix[low].  Keys stay
+        # below (N+1)^d, far inside int64 for any basis small enough to list.
+        radix = (N + 1) ** np.arange(d, dtype=np.int64)
+        keys = self.occ @ radix
+        order = np.argsort(keys)
+        pair_low, pair_high = np.divmod(np.arange(d * d), d)
+        pair, self.hop_col = np.nonzero((self.occ[:, pair_low] > 0).T)
+        self.hop_low, self.hop_high = pair_low[pair], pair_high[pair]
+        moved = keys[self.hop_col] - radix[self.hop_low] + radix[self.hop_high]
+        self.hop_row = order[np.searchsorted(keys[order], moved)]
+        n_low = self.occ[self.hop_col, self.hop_low]
+        n_high = self.occ[self.hop_col, self.hop_high] - (self.hop_low == self.hop_high)
+        self.hop_weight = np.sqrt(n_low * (n_high + 1))
+        self.hop_starts = np.searchsorted(pair, np.arange(d * d))
+
+
+@functools.lru_cache(maxsize=64)
+def _table(d: int, N: int) -> _OccupationTable:
     if d < 2 or N < 0:
         raise ValueError(f"need d >= 2 and N >= 0, got d={d}, N={N}")
+    return _OccupationTable(d, N)
 
-    def _gen(slots: int, total: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in _gen(slots - 1, total - first):
-                yield (first,) + rest
 
-    return list(_gen(d, N))
+def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
+    """All occupation vectors (n_1,...,n_d) with sum N, reverse-lexicographic."""
+    return list(_table(d, N).basis)
 
 
 def occupation_index(d: int, N: int) -> dict[tuple[int, ...], int]:
     """Map occupation vector -> position in occupation_basis(d, N)."""
-    return {n: j for j, n in enumerate(occupation_basis(d, N))}
+    return dict(_table(d, N).index)
 
 
 def check_dense_guard(d: int, M: int, guard: int | None = None) -> None:
@@ -105,7 +146,7 @@ class DensityOperator:
     """Density matrix with an explicit basis tag.
 
     basis is SYMMETRIC_BASIS (matrix of size sym_dimension(d, sites)) or
-    FULL_BASIS (size d**sites).
+    FULL_BASIS (size d**sites).  Leading axes, if any, stack matrices.
     """
 
     matrix: np.ndarray
@@ -122,7 +163,7 @@ class DensityOperator:
             dim = self.d**self.sites
         else:
             raise BasisError(f"unknown basis tag {self.basis!r}")
-        if mat.shape != (dim, dim):
+        if mat.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match basis dimension {dim}"
             )
@@ -169,18 +210,16 @@ def product_power(psi: PureState | np.ndarray, N: int) -> np.ndarray:
     """Coordinates of psi^{x N} in the symmetric occupation basis.
 
     c_n = sqrt(N! / prod n_i!) * prod psi_i^{n_i}; the result has unit norm.
+    Amplitudes of shape (..., d) give coordinates of shape (..., dim).
     """
     amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=complex)
-    d = amps.shape[0]
-    basis = occupation_basis(d, N)
-    fact_N = math.factorial(N)
-    out = np.empty(len(basis), dtype=complex)
-    for j, n in enumerate(basis):
-        coeff = math.sqrt(fact_N / math.prod(math.factorial(k) for k in n))
-        out[j] = coeff * math.prod(amps[i] ** n[i] for i in range(d) if n[i])
-        if all(k == 0 for k in n):
-            out[j] = coeff
-    return out
+    d = amps.shape[-1]
+    table = _table(d, N)
+    # powers[..., i, k] = psi_i^k for k = 0..N
+    powers = np.ones(amps.shape + (N + 1,), dtype=complex)
+    powers[..., 1:] = np.cumprod(np.repeat(amps[..., None], N, axis=-1), axis=-1)
+    terms = powers[..., np.arange(d), table.occ]
+    return table.sqrt_multinomial * np.prod(terms, axis=-1)
 
 
 def one_body_operator(a: np.ndarray, d: int, sites: int, basis: str) -> np.ndarray:
@@ -204,59 +243,27 @@ def one_body_operator(a: np.ndarray, d: int, sites: int, basis: str) -> np.ndarr
         return op
     if basis != SYMMETRIC_BASIS:
         raise BasisError(f"unknown basis tag {basis!r}")
-    occ = occupation_basis(d, sites)
-    index = {n: col for col, n in enumerate(occ)}
-    dim = len(occ)
-    op = np.zeros((dim, dim), dtype=complex)
-    for col, n in enumerate(occ):
-        for j in range(d):
-            if n[j] == 0:
-                continue
-            lowered = list(n)
-            lowered[j] -= 1
-            for i in range(d):
-                if a[i, j] == 0:
-                    continue
-                raised = list(lowered)
-                raised[i] += 1
-                row = index[tuple(raised)]
-                op[row, col] += a[i, j] * math.sqrt(n[j] * (lowered[i] + 1))
+    t = _table(d, sites)
+    op = np.zeros((len(t.basis),) * 2, dtype=complex)
+    np.add.at(op, (t.hop_row, t.hop_col), a[t.hop_high, t.hop_low] * t.hop_weight)
     return op
 
 
-def _marginal_symmetric(rho: DensityOperator) -> np.ndarray:
-    d, N = rho.d, rho.sites
-    occ = occupation_basis(d, N)
-    index = {n: j for j, n in enumerate(occ)}
-    marg = np.zeros((d, d), dtype=complex)
+def _marginal_symmetric(matrix: np.ndarray, d: int, N: int) -> np.ndarray:
     # marg[i, j] = (1/N) tr(rho b_j^dag b_i): annihilate mode i, create mode j
-    for col, n in enumerate(occ):
-        for i in range(d):
-            if n[i] == 0:
-                continue
-            lowered = list(n)
-            lowered[i] -= 1
-            for j in range(d):
-                raised = list(lowered)
-                raised[j] += 1
-                row = index[tuple(raised)]
-                marg[i, j] += rho.matrix[col, row] * math.sqrt(n[i] * (lowered[j] + 1))
-    return marg / N
+    t = _table(d, N)
+    terms = matrix[..., t.hop_col, t.hop_row] * t.hop_weight
+    marg = np.add.reduceat(terms, t.hop_starts, axis=-1) / N
+    return marg.reshape(matrix.shape[:-2] + (d, d))
 
 
-def _marginal_full(rho: DensityOperator, site: int) -> np.ndarray:
-    d, N = rho.d, rho.sites
+def _marginal_full(matrix: np.ndarray, d: int, N: int, site: int) -> np.ndarray:
     if not 0 <= site < N:
         raise ValueError(f"site index {site} out of range for {N} sites")
-    t = rho.matrix.reshape((d,) * (2 * N))
-    # trace out every site but `site`
-    left = t
-    # move the kept site to the front on both row and column groups
-    row_order = [site] + [k for k in range(N) if k != site]
-    col_order = [N + site] + [N + k for k in range(N) if k != site]
-    left = np.transpose(left, axes=row_order + col_order)
-    left = left.reshape(d, d ** (N - 1), d, d ** (N - 1))
-    return np.einsum("iaja->ij", left)
+    # rows and columns split as (sites before, kept site, sites after)
+    before, after = d**site, d ** (N - site - 1)
+    t = matrix.reshape(matrix.shape[:-2] + (before, d, after) * 2)
+    return np.einsum("...aibajb->...ij", t)
 
 
 def single_site_marginal(rho: DensityOperator, site: int = 0) -> np.ndarray:
@@ -264,16 +271,24 @@ def single_site_marginal(rho: DensityOperator, site: int = 0) -> np.ndarray:
 
     For SYMMETRIC_BASIS input the result is site-independent; for
     FULL_BASIS input the site index selects which tensor factor to keep.
+    A stack of density matrices gives a stack of marginals.
     """
+    if rho.sites < 1:
+        raise ValueError("a single-site marginal needs at least one site")
     if rho.basis == SYMMETRIC_BASIS:
-        return _marginal_symmetric(rho)
+        return _marginal_symmetric(rho.matrix, rho.d, rho.sites)
     if rho.basis == FULL_BASIS:
-        return _marginal_full(rho, site)
+        return _marginal_full(rho.matrix, rho.d, rho.sites, site)
     raise BasisError(f"unknown basis tag {rho.basis!r}")
+
+
+def _haar_amplitudes(d: int, seed: int) -> np.ndarray:
+    """Amplitudes of haar_state(d, seed), without the PureState checks."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return z / np.linalg.norm(z)
 
 
 def haar_state(d: int, seed: int) -> PureState:
     """Haar-distributed pure state in C^d, deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(z / np.linalg.norm(z))
+    return PureState(_haar_amplitudes(d, seed))

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from cloneopt import (
+    FULL_BASIS,
     ChannelPropertyError,
     ClonerSpec,
+    DensityOperator,
+    DimensionGuardError,
     SU2Labels,
     TwirlConfig,
     choi,
     choi_to_kraus,
     covariance_defect,
+    delta_all_numeric,
     delta_one_closed_form,
     delta_one_numeric,
     haar_state,
@@ -20,6 +24,7 @@ from cloneopt import (
     omega_measure,
     optimal_cloner,
     product_power,
+    single_site_marginal,
     stinespring,
     su2_component_cloner,
     twirl,
@@ -32,7 +37,7 @@ from cloneopt.channels import (
     spin_embedding,
     su2_coupling_isometry,
 )
-from cloneopt.cloner import Channel
+from cloneopt.cloner import Channel, _refine_chains
 
 
 def identity_channel(d):
@@ -111,7 +116,7 @@ def test_twirl_washes_out_direction():
     averaged = twirl(channel, TwirlConfig(sample_count=400, seed=1))
     # single-site marginal of the twirl is gamma' sigma + (1-gamma')/d
     # with gamma' near zero
-    from cloneopt import SYMMETRIC_BASIS, DensityOperator, single_site_marginal
+    from cloneopt import SYMMETRIC_BASIS
 
     psi = haar_state(2, seed=21)
     v = product_power(psi, 1)
@@ -241,3 +246,130 @@ def test_optimal_labels_reproduce_optimal_cloner():
         reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
         dist = np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))
         assert dist < 1e-8
+
+
+def test_choi_and_twirl_guard_refuse_before_allocating():
+    channel = optimal_cloner(ClonerSpec(3, 16, 17))  # Choi side 153 * 171 = 26163
+    with pytest.raises(DimensionGuardError):
+        choi(channel)
+    with pytest.raises(DimensionGuardError):
+        twirl(channel, TwirlConfig(sample_count=1))
+    with pytest.raises(DimensionGuardError):
+        covariance_defect(channel, samples=1)
+    small = optimal_cloner(ClonerSpec(2, 1, 2))  # side 2 * 3 = 6
+    with pytest.raises(DimensionGuardError):
+        choi(small, guard=5)
+    with pytest.raises(DimensionGuardError):
+        twirl(small, TwirlConfig(sample_count=1), guard=5)
+    assert choi(small, guard=6).shape == (6, 6)
+
+
+# --- the batched sampler against the per-state loop it replaced ------------
+
+
+def sequential_refine(value_fn, psi0, seed, iters=20):
+    """Oracle: one refinement chain, one state per evaluation."""
+    rng = np.random.default_rng(seed)
+    best_psi = np.asarray(psi0, dtype=complex)
+    best = value_fn(best_psi)
+    step = 0.3
+    for _ in range(iters):
+        z = rng.normal(size=best_psi.shape[0]) + 1j * rng.normal(size=best_psi.shape[0])
+        cand = best_psi + step * z
+        cand /= np.linalg.norm(cand)
+        val = value_fn(cand)
+        if val > best:
+            best, best_psi = val, cand
+        else:
+            step *= 0.7
+    return best
+
+
+def reference_delta_one(channel, samples, seed):
+    """Oracle: delta_one_numeric evaluated one sampled state at a time."""
+    d, N, M = channel.d, channel.n_in, channel.m_out
+    sites = [0] if channel.basis_out != FULL_BASIS else list(range(M))
+
+    def value(amps):
+        v = product_power(amps, N)
+        dens = DensityOperator(channel.apply(np.outer(v, v.conj())), channel.basis_out, d, M)
+        best = 0.0
+        for k in sites:
+            vals = np.linalg.eigvalsh(single_site_marginal(dens, site=k) - np.outer(amps, amps.conj()))
+            best = max(best, float(np.sum(vals[vals > 0])))
+        return best
+
+    scored = []
+    for i in range(samples):
+        amps = haar_state(d, seed=hash((seed, i)) & 0xFFFFFFFF).amplitudes
+        scored.append((value(amps), amps))
+    best = max([0.0] + [val for val, _ in scored])
+    for rank, (_, amps) in enumerate(sorted(scored, key=lambda t: -t[0])[:5]):
+        best = max(best, sequential_refine(value, amps, seed + 2000 + rank))
+    return best
+
+
+def test_lockstep_refinement_equals_sequential_chains():
+    def value(psi):
+        # non-constant, with both accepted and rejected steps
+        return float(np.abs(psi[0]) ** 2 - 0.5 * np.abs(psi[1]) ** 2 + 0.3 * psi[2].real)
+
+    starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
+    seeds = [40 + rank for rank in range(5)]
+    lockstep = _refine_chains(lambda batch: np.array([value(p) for p in batch]), starts, seeds)
+    sequential = [sequential_refine(value, psi, seed) for psi, seed in zip(starts, seeds)]
+    assert lockstep.tolist() == sequential
+    assert len(set(sequential)) == 5
+
+
+@pytest.mark.parametrize("labels,N,M", [
+    (SU2Labels(Fraction(3, 2), Fraction(1), Fraction(1, 2)), 1, 3),
+    (SU2Labels(Fraction(1, 2), Fraction(0), Fraction(1, 2)), 1, 3),
+    (SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4),
+])
+def test_delta_one_numeric_matches_per_state_loop_full_basis(labels, N, M):
+    channel = su2_component_cloner(labels, N, M)
+    assert channel.basis_out == FULL_BASIS
+    batched = delta_one_numeric(channel, samples=37, seed=5)
+    assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
+
+
+@pytest.mark.parametrize("channel", [identity_channel(2), identity_channel(3),
+                                     constant_output_channel(2, 1, 2)])
+def test_delta_one_numeric_matches_per_state_loop(channel):
+    batched = delta_one_numeric(channel, samples=37, seed=5)
+    assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
+
+
+# Values printed by the per-state sampler before it was batched, 200
+# samples each.  The constant-output channel is not covariant, so its value
+# depends on every sampled and refined state.
+PINNED = [
+    ("delta_one", 2, 2, 5, 0, 0.15000000000000033),
+    ("delta_one", 2, 2, 5, 12345, 0.15000000000000024),
+    ("delta_one", 3, 2, 4, 0, 0.20000000000000023),
+    ("delta_one", 3, 2, 4, 12345, 0.20000000000000023),
+    ("delta_one", 4, 2, 4, 0, 0.25000000000000033),
+    ("delta_one", 4, 2, 4, 12345, 0.2500000000000004),
+    ("delta_all", 2, 2, 5, 0, 1.0000000000000024),
+    ("delta_all", 2, 2, 5, 12345, 1.0000000000000024),
+    ("delta_all", 3, 2, 4, 0, 1.2000000000000022),
+    ("delta_all", 3, 2, 4, 12345, 1.200000000000002),
+    ("delta_all", 4, 2, 4, 0, 1.428571428571433),
+    ("delta_all", 4, 2, 4, 12345, 1.428571428571433),
+    ("constant", 2, 1, 2, 0, 0.9999992985152188),
+    ("constant", 2, 1, 2, 12345, 0.9999997445059057),
+    ("constant", 3, 1, 2, 0, 0.9999966432794951),
+    ("constant", 3, 1, 2, 12345, 0.9999998926772866),
+]
+
+
+@pytest.mark.parametrize("kind,d,N,M,seed,value", PINNED)
+def test_sampled_values_pinned(kind, d, N, M, seed, value):
+    if kind == "delta_all":
+        got = delta_all_numeric(ClonerSpec(d, N, M), samples=200, seed=seed)
+    else:
+        channel = (optimal_cloner(ClonerSpec(d, N, M)) if kind == "delta_one"
+                   else constant_output_channel(d, N, M))
+        got = delta_one_numeric(channel, samples=200, seed=seed)
+    assert abs(got - value) < 1e-12

@@ -153,23 +153,41 @@ def test_omega_max_guard_exits_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (8, 1, 64),
-                                   (8, 64, 64), (5, 2, 12)])
-@pytest.mark.parametrize("sub", ["marginal", "apply", "overlap"])
-def test_cloner_edges_answer_or_refuse(sub, d, n, m):
+def answer_or_refuse(*argv):
     # a separate process, so that a run past the guard is killed at 10 s
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "cloneopt.cli", "cloner", sub,
-         "--d", str(d), "--n", str(n), "--m", str(m)],
+        [sys.executable, "-m", "cloneopt.cli", *map(str, argv)],
         capture_output=True, text=True, timeout=10, env=env,
     )
     assert proc.returncode in (0, 3)
     assert "Traceback" not in proc.stderr
     if proc.returncode == 3:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (8, 1, 64),
+                                   (8, 64, 64), (5, 2, 12)])
+@pytest.mark.parametrize("sub", ["marginal", "apply", "overlap"])
+def test_cloner_edges_answer_or_refuse(sub, d, n, m):
+    answer_or_refuse("cloner", sub, "--d", d, "--n", n, "--m", m)
+
+
+@pytest.mark.parametrize("sub,samples,d,n,m", [
+    ("delta-one", 10, 4, 5, 9), ("delta-one", 10, 4, 4, 8),
+    ("delta-one", 10, 2, 1, 64), ("delta-one", 10, 8, 1, 2),
+    ("defect", 1, 3, 16, 17), ("defect", 1, 2, 1, 64),
+    ("twirl", 1, 3, 16, 17), ("twirl", 1, 2, 1, 64),
+])
+def test_channel_edges_answer_or_refuse(sub, samples, d, n, m):
+    answer_or_refuse("channel", sub, "--d", d, "--n", n, "--m", m, "--samples", samples)
+
+
+@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (3, 16, 17)])
+def test_verify_edges_answer_or_refuse(d, n, m):
+    answer_or_refuse("verify", "all", "--d", d, "--n", n, "--m", m)
 
 
 def test_table_format():

@@ -7,6 +7,7 @@ import pytest
 
 from cloneopt import (
     SYMMETRIC_BASIS,
+    Channel,
     ClonerSpec,
     DensityOperator,
     all_clone_overlap,
@@ -93,6 +94,18 @@ def test_kraus_count_and_shapes():
 @pytest.mark.parametrize("d,N,M", DESK_GRID)
 def test_trace_preservation(d, N, M):
     assert optimal_cloner(ClonerSpec(d, N, M)).completeness_defect() < 1e-10
+
+
+def test_apply_broadcasts_over_leading_axes():
+    channel = optimal_cloner(ClonerSpec(3, 2, 4))
+    rng = np.random.default_rng(8)
+    dim = sym_dimension(3, 2)
+    stack = rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
+    out = channel.apply(stack)
+    assert out.shape == (2, 3, channel.out_dim, channel.out_dim)
+    for idx in np.ndindex(2, 3):
+        assert np.allclose(out[idx], channel.apply(stack[idx]), atol=1e-13)
+    assert Channel.apply_fast is Channel.apply
 
 
 def test_identity_limit():

@@ -203,3 +203,91 @@ def test_haar_first_component_moment():
     for k in range(trials):
         acc += abs(haar_state(d, seed=k).amplitudes[0]) ** 2
     assert abs(acc / trials - 1.0 / d) < 0.02
+
+
+# --- batched kernels against the per-state loops they replaced -------------
+
+
+def scalar_product_power(amps, N):
+    """Oracle: the term-by-term formula, one state at a time."""
+    d = amps.shape[0]
+    basis = occupation_basis(d, N)
+    out = np.empty(len(basis), dtype=complex)
+    for j, n in enumerate(basis):
+        coeff = math.sqrt(math.factorial(N) / math.prod(math.factorial(k) for k in n))
+        out[j] = coeff * math.prod(amps[i] ** n[i] for i in range(d) if n[i])
+    return out
+
+
+def dict_walk_marginal(matrix, d, N):
+    """Oracle: the one-site marginal of a symmetric-basis matrix by walking
+    occupation vectors, marg[i, j] = (1/N) tr(rho b_j^dag b_i)."""
+    occ = occupation_basis(d, N)
+    index = {n: j for j, n in enumerate(occ)}
+    marg = np.zeros((d, d), dtype=complex)
+    for col, n in enumerate(occ):
+        for i in range(d):
+            if n[i] == 0:
+                continue
+            lowered = list(n)
+            lowered[i] -= 1
+            for j in range(d):
+                raised = list(lowered)
+                raised[j] += 1
+                row = index[tuple(raised)]
+                marg[i, j] += matrix[col, row] * math.sqrt(n[i] * (lowered[j] + 1))
+    return marg / N
+
+
+def transposed_full_marginal(matrix, d, N, site):
+    """Oracle: move the kept site to the front, then trace out the rest."""
+    t = matrix.reshape((d,) * (2 * N))
+    rows = [site] + [k for k in range(N) if k != site]
+    cols = [N + site] + [N + k for k in range(N) if k != site]
+    t = np.transpose(t, axes=rows + cols).reshape(d, d ** (N - 1), d, d ** (N - 1))
+    return np.einsum("iaja->ij", t)
+
+
+def random_stack(rng, count, dim):
+    return rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_batched_product_power_matches_scalar_formula(d, N):
+    rng = np.random.default_rng(10 * d + N)
+    amps = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    amps[2, 0] = 0.0  # a zero amplitude: 0^0 must count as 1
+    amps[3] = 0.0
+    amps[3, d - 1] = 1.0
+    batch = product_power(amps, N)
+    assert batch.shape == (6, sym_dimension(d, N))
+    for row, a in zip(batch, amps):
+        assert np.allclose(row, scalar_product_power(a, N), rtol=1e-13, atol=1e-15)
+    single = product_power(amps[1], N)
+    assert np.allclose(single, scalar_product_power(amps[1], N), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 4), (3, 3), (4, 2), (4, 4)])
+def test_batched_symmetric_marginal_matches_dict_walk(d, N):
+    rng = np.random.default_rng(d + 7 * N)
+    stack = random_stack(rng, 5, sym_dimension(d, N)).reshape(5, 1, *(sym_dimension(d, N),) * 2)
+    margs = single_site_marginal(DensityOperator(stack, SYMMETRIC_BASIS, d, N))
+    assert margs.shape == (5, 1, d, d)
+    for marg, mat in zip(margs[:, 0], stack[:, 0]):
+        assert np.allclose(marg, dict_walk_marginal(mat, d, N), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 3), (3, 2), (2, 4)])
+def test_batched_full_marginal_matches_per_matrix(d, N):
+    rng = np.random.default_rng(3 * d + N)
+    stack = random_stack(rng, 4, d**N)
+    dens = DensityOperator(stack, FULL_BASIS, d, N)
+    for site in range(N):
+        margs = single_site_marginal(dens, site=site)
+        for marg, mat in zip(margs, stack):
+            assert np.allclose(marg, transposed_full_marginal(mat, d, N, site), atol=1e-12)
+
+
+def test_marginal_needs_a_site():
+    with pytest.raises(ValueError):
+        single_site_marginal(DensityOperator(np.eye(1), SYMMETRIC_BASIS, 2, 0))
