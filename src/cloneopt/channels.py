@@ -115,10 +115,10 @@ def _input_rep(channel: Channel, u: np.ndarray, guard: int | None = None) -> np.
     return symmetric_rep(u, channel.n_in, guard)
 
 
-def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
+def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None) -> Channel:
     """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M."""
-    u_in = _input_rep(channel, u)
-    u_out = _output_rep(channel, u)
+    u_in = _input_rep(channel, u, guard)
+    u_out = _output_rep(channel, u, guard)
     return Channel(
         kraus=[u_out.conj().T @ K @ u_in for K in channel.kraus],
         d=channel.d,
@@ -158,8 +158,8 @@ def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
     return C
 
 
-def min_choi_eigenvalue(channel: Channel) -> float:
-    return float(np.min(np.linalg.eigvalsh(choi(channel))))
+def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
+    return float(np.min(np.linalg.eigvalsh(choi(channel, guard))))
 
 
 def choi_trace_out_output(channel: Channel) -> np.ndarray:
@@ -197,7 +197,7 @@ def twirl(
     acc = np.zeros((_check_choi_guard(channel, guard),) * 2, dtype=complex)
     for _ in range(cfg.sample_count):
         u = haar_unitary(channel.d, rng)
-        acc += choi(conjugate_channel(channel, u), guard)
+        acc += choi(conjugate_channel(channel, u, guard), guard)
     acc /= cfg.sample_count
     return Channel(
         kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim),
@@ -229,15 +229,17 @@ def dilation_trace(V: np.ndarray, rho: np.ndarray, out_dim: int) -> np.ndarray:
     return np.einsum("xryr->xy", X.reshape(out_dim, R, out_dim, R))
 
 
-def covariance_defect(channel: Channel, samples: int = 50, seed: int = 0) -> float:
+def covariance_defect(
+    channel: Channel, samples: int = 50, seed: int = 0, guard: int | None = None
+) -> float:
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
     Haar unitaries; zero (to tolerance) iff T is covariant."""
     rng = np.random.default_rng(seed)
-    C0 = choi(channel)
+    C0 = choi(channel, guard)
     worst = 0.0
     for _ in range(samples):
         u = haar_unitary(channel.d, rng)
-        diff = choi(conjugate_channel(channel, u)) - C0
+        diff = choi(conjugate_channel(channel, u, guard), guard) - C0
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
     return worst
 

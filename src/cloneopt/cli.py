@@ -242,18 +242,19 @@ def _cmd_channel_twirl(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
     cfg = ch.TwirlConfig(sample_count=args.samples, seed=args.seed)
-    averaged = ch.twirl(channel, cfg)
+    averaged = ch.twirl(channel, cfg, args.guard)
     # T is a twirl fixed point iff the averaged Choi matrix matches
-    dist = float(
-        np.max(np.abs(np.linalg.eigvalsh(ch.choi(averaged) - ch.choi(channel))))
-    )
+    diff = ch.choi(averaged, args.guard) - ch.choi(channel, args.guard)
+    dist = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     return se.estimate_report(dist, args.samples, args.seed)
 
 
 def _cmd_channel_defect(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
-    defect = ch.covariance_defect(channel, samples=args.samples, seed=args.seed)
+    defect = ch.covariance_defect(
+        channel, samples=args.samples, seed=args.seed, guard=args.guard
+    )
     return se.estimate_report(defect, args.samples, args.seed)
 
 
@@ -298,10 +299,11 @@ def _cmd_verify_all(args):
         )
     channel = cl.optimal_cloner(spec)
     check("trace-preserving", channel.completeness_defect() <= 1e-10)
-    check("completely-positive", ch.min_choi_eigenvalue(channel) >= -1e-10)
+    check("completely-positive", ch.min_choi_eigenvalue(channel, args.guard) >= -1e-10)
     check(
         "covariance-defect",
-        ch.covariance_defect(channel, samples=10, seed=args.seed) <= 1e-10,
+        ch.covariance_defect(channel, samples=10, seed=args.seed, guard=args.guard)
+        <= 1e-10,
     )
     report = oo.maximize_brute(d, N, M)
     check("omega-max-value", report.omega_max == Fraction(M + d, N + d))

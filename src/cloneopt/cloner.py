@@ -19,8 +19,8 @@ from .tensor_core import (
     SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
-    _haar_amplitudes,
     check_dense_guard,
+    haar_state,
     occupation_basis,
     occupation_index,
     product_power,
@@ -218,9 +218,12 @@ def all_clone_overlap(spec: ClonerSpec, psi: PureState) -> float:
 _CHUNK = 16
 
 
-def _refine_chains(values, starts: np.ndarray, seeds: list[int], iters: int = 20) -> np.ndarray:
-    """Run refine_supremum's chains in lockstep, one batched values() call
-    per step; chain c draws from default_rng(seeds[c]) exactly as alone."""
+def refine_supremum(values, starts: np.ndarray, seeds: list[int], iters: int = 20) -> np.ndarray:
+    """Gradient-free local refinement: from each start, random perturbations
+    with a shrinking step, keeping the best value seen.  The chains run in
+    lockstep, one values() call per step; chain c draws from
+    default_rng(seeds[c]), so it takes the steps it would take alone.
+    values maps amplitudes (B, d) to B values; returns each chain's best."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_psi = np.array(starts, dtype=complex)
     best = values(best_psi)
@@ -239,16 +242,6 @@ def _refine_chains(values, starts: np.ndarray, seeds: list[int], iters: int = 20
     return best
 
 
-def refine_supremum(value_fn, psi0: np.ndarray, seed: int, iters: int = 20) -> float:
-    """Gradient-free local refinement: random perturbations with a
-    shrinking step, keeping the best value seen."""
-
-    def values(batch: np.ndarray) -> np.ndarray:
-        return np.array([value_fn(psi) for psi in batch])
-
-    return float(_refine_chains(values, [psi0], [seed], iters)[0])
-
-
 def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int) -> float:
     """Max of 0 and values() over Haar states of C^d seeded by hash((seed, i)),
     evaluated _CHUNK states per call; the five best (ties in sample order)
@@ -257,13 +250,13 @@ def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int)
     if samples <= 0:
         return 0.0
     states = np.array(
-        [_haar_amplitudes(d, hash((seed, i)) & 0xFFFFFFFF) for i in range(samples)]
+        [haar_state(d, hash((seed, i)) & 0xFFFFFFFF).amplitudes for i in range(samples)]
     )
     scores = np.concatenate(
         [values(states[k:k + _CHUNK]) for k in range(0, samples, _CHUNK)]
     )
     top = np.argsort(-scores, kind="stable")[:5]
-    refined = _refine_chains(values, states[top], [refine_seed + r for r in range(len(top))])
+    refined = refine_supremum(values, states[top], [refine_seed + r for r in range(len(top))])
     return float(max(0.0, scores.max(), refined.max()))
 
 

@@ -75,21 +75,33 @@ class _OccupationTable:
             math.sqrt(math.factorial(N) / math.prod(math.factorial(k) for k in n))
             for n in self.basis
         ])
-        # an occupation vector is a number in radix N + 1; moving one
-        # particle from low to high adds radix[high] - radix[low].  Keys stay
-        # below (N+1)^d, far inside int64 for any basis small enough to list.
-        radix = (N + 1) ** np.arange(d, dtype=np.int64)
-        keys = self.occ @ radix
-        order = np.argsort(keys)
         pair_low, pair_high = np.divmod(np.arange(d * d), d)
         pair, self.hop_col = np.nonzero((self.occ[:, pair_low] > 0).T)
         self.hop_low, self.hop_high = pair_low[pair], pair_high[pair]
-        moved = keys[self.hop_col] - radix[self.hop_low] + radix[self.hop_high]
-        self.hop_row = order[np.searchsorted(keys[order], moved)]
+        moved = self.occ[self.hop_col]
+        hop = np.arange(len(self.hop_col))
+        moved[hop, self.hop_low] -= 1
+        moved[hop, self.hop_high] += 1
+        self.hop_row = _rank(moved, N)
         n_low = self.occ[self.hop_col, self.hop_low]
         n_high = self.occ[self.hop_col, self.hop_high] - (self.hop_low == self.hop_high)
         self.hop_weight = np.sqrt(n_low * (n_high + 1))
         self.hop_starts = np.searchsorted(pair, np.arange(d * d))
+
+
+def _rank(occ: np.ndarray, N: int) -> np.ndarray:
+    """Positions of the rows of occ in the reverse-lexicographic basis.
+
+    The vectors before n agree with it on slots 0..k-1 and hold more in
+    slot k; with e_k = N - n_0 - ... - n_k particles right of slot k there
+    are C(e_k + d - 2 - k, d - 1 - k) of them.  Each count is at most the
+    basis size, so no sum overflows.
+    """
+    d = occ.shape[1]
+    ways = np.array([[math.comb(e + d - 2 - k, d - 1 - k) for e in range(N + 1)]
+                     for k in range(d - 1)], dtype=np.int64)
+    right = N - np.cumsum(occ[:, :-1], axis=1)
+    return ways[np.arange(d - 1), right].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,13 +294,8 @@ def single_site_marginal(rho: DensityOperator, site: int = 0) -> np.ndarray:
     raise BasisError(f"unknown basis tag {rho.basis!r}")
 
 
-def _haar_amplitudes(d: int, seed: int) -> np.ndarray:
-    """Amplitudes of haar_state(d, seed), without the PureState checks."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return z / np.linalg.norm(z)
-
-
 def haar_state(d: int, seed: int) -> PureState:
     """Haar-distributed pure state in C^d, deterministic for a fixed seed."""
-    return PureState(_haar_amplitudes(d, seed))
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return PureState(z / np.linalg.norm(z))

@@ -37,7 +37,7 @@ from cloneopt.channels import (
     spin_embedding,
     su2_coupling_isometry,
 )
-from cloneopt.cloner import Channel, _refine_chains
+from cloneopt.cloner import Channel, refine_supremum
 
 
 def identity_channel(d):
@@ -316,7 +316,7 @@ def test_lockstep_refinement_equals_sequential_chains():
 
     starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
     seeds = [40 + rank for rank in range(5)]
-    lockstep = _refine_chains(lambda batch: np.array([value(p) for p in batch]), starts, seeds)
+    lockstep = refine_supremum(lambda batch: np.array([value(p) for p in batch]), starts, seeds)
     sequential = [sequential_refine(value, psi, seed) for psi, seed in zip(starts, seeds)]
     assert lockstep.tolist() == sequential
     assert len(set(sequential)) == 5

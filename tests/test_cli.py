@@ -153,6 +153,19 @@ def test_omega_max_guard_exits_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    ["channel", "defect", "--samples", "2"],
+    ["channel", "twirl", "--samples", "2"],
+])
+def test_guard_flag_sets_the_choi_limit(argv, capsys):
+    # the Choi matrix of (2, 1, 2) has side 2 * 3 = 6
+    size = ["--d", "2", "--n", "1", "--m", "2"]
+    assert run(argv + size + ["--guard", "5"]) == 3
+    assert "Choi matrix" in capsys.readouterr().err
+    assert run(argv + size + ["--guard", "6"]) == 0
+
+
 def answer_or_refuse(*argv):
     # a separate process, so that a run past the guard is killed at 10 s
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -267,7 +267,8 @@ def test_batched_product_power_matches_scalar_formula(d, N):
     assert np.allclose(single, scalar_product_power(amps[1], N), rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("d,N", [(2, 1), (2, 4), (3, 3), (4, 2), (4, 4)])
+# at (66, 1) occupation vectors read as binary numbers would overflow int64
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 4), (3, 3), (4, 2), (4, 4), (66, 1)])
 def test_batched_symmetric_marginal_matches_dict_walk(d, N):
     rng = np.random.default_rng(d + 7 * N)
     stack = random_stack(rng, 5, sym_dimension(d, N)).reshape(5, 1, *(sym_dimension(d, N),) * 2)
