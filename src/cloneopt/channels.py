@@ -22,6 +22,7 @@ from .tensor_core import (
     one_body_operator,
     product_power,
     single_site_marginal,
+    sym_dimension,
     sym_embed,
 )
 from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL, STRUCTURAL_TOL
@@ -309,8 +310,7 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     sites = [0] if channel.basis_out == SYMMETRIC_BASIS else list(range(M))
 
     def values(amps: np.ndarray) -> np.ndarray:
-        v = product_power(amps, N)
-        rho_out = channel.apply_fast(v[..., :, None] * v.conj()[..., None, :])
+        rho_out = channel.apply_fast(product_power(amps, N))
         dens = DensityOperator(rho_out, channel.basis_out, d, M)
         proj = amps[..., :, None] * amps.conj()[..., None, :]
         best_site = np.zeros(amps.shape[0])
@@ -456,8 +456,6 @@ def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
 def constant_output_channel(d: int, N: int, M: int) -> Channel:
     """Channel mapping every input to the first occupation basis state of
     the output; a deliberately non-covariant test subject."""
-    from .tensor_core import sym_dimension
-
     in_dim = sym_dimension(d, N)
     out_dim = sym_dimension(d, M)
     kraus = []

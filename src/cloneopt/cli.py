@@ -52,8 +52,8 @@ def _parse_state(text: str, d: int) -> tc.PureState:
     if amps.shape[0] != d:
         raise UsageError(f"state has {amps.shape[0]} amplitudes, expected {d}")
     norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise UsageError("state vector is zero")
+    if not 0 < norm < np.inf:
+        raise UsageError("state vector must be non-zero with finite amplitudes")
     return tc.PureState(amps / norm)
 
 
@@ -71,6 +71,9 @@ def _check_ranges(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and not 0 <= n <= 64:
         raise UsageError(f"N must be in [0, 64], got {n}")
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise UsageError(f"samples must be >= 1, got {samples}")
     m = getattr(args, "m", None)
     if m is not None:
         if not 0 <= m <= 64:
@@ -127,12 +130,11 @@ def _cmd_cloner_apply(args):
     )
     channel = cl.optimal_cloner(spec)
     v = tc.product_power(psi, args.n)
-    rho_in = np.outer(v, v.conj())
-    rho_out = channel.apply(rho_in)
+    rho_out = channel.apply_fast(v)
     if args.guard is not None:
         # cross-check the fast path against the dense oracle; raises a
         # guard error (exit 3) when d^M exceeds the requested limit
-        dense = cl.dense_cloner_output(spec, rho_in, guard=args.guard)
+        dense = cl.dense_cloner_output(spec, np.outer(v, v.conj()), guard=args.guard)
         if float(np.max(np.abs(rho_out - dense))) > 1e-10:
             raise ChannelPropertyError("fast path disagrees with the dense oracle")
     return {

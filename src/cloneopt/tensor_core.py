@@ -142,6 +142,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValueError("pure state must be a 1-d amplitude vector")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("pure state amplitudes must be finite")
         if abs(np.linalg.norm(amps) - 1.0) > STATE_TOL:
             raise ValueError("pure state amplitudes are not normalized")
 

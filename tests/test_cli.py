@@ -166,15 +166,22 @@ def test_guard_flag_sets_the_choi_limit(argv, capsys):
     assert run(argv + size + ["--guard", "6"]) == 0
 
 
-def answer_or_refuse(*argv):
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(*argv):
     # a separate process, so that a run past the guard is killed at 10 s
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # and every line it writes to stderr (warnings too) is seen
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cloneopt.cli", *map(str, argv)],
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
         capture_output=True, text=True, timeout=10, env=env,
     )
+
+
+def answer_or_refuse(*argv):
+    proc = run_child("-m", "cloneopt.cli", *argv)
     assert proc.returncode in (0, 3)
     assert "Traceback" not in proc.stderr
     if proc.returncode == 3:
@@ -201,6 +208,28 @@ def test_channel_edges_answer_or_refuse(sub, samples, d, n, m):
 @pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (3, 16, 17)])
 def test_verify_edges_answer_or_refuse(d, n, m):
     answer_or_refuse("verify", "all", "--d", d, "--n", n, "--m", m)
+
+
+@pytest.mark.parametrize("state", ["[[NaN,0],[1,0]]", "[[1,0],[1e400,0]]",
+                                   "[[Infinity,0],[1,0]]"])
+@pytest.mark.parametrize("sub", ["apply", "marginal"])
+def test_non_finite_state_exits_2(sub, state):
+    proc = run_child("-m", "cloneopt.cli", "cloner", sub, "--d", 2, "--n", 1, "--m", 2,
+                     "--state", state)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("sub", ["delta-one", "defect"])
+def test_samples_below_one_exit_2(sub, samples, capsys):
+    code = run(["channel", sub, "--d", "2", "--n", "1", "--m", "2",
+                "--samples", str(samples)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be >= 1, got {samples}\n"
 
 
 def test_table_format():

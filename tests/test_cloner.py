@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cloneopt import (
+    FULL_BASIS,
     SYMMETRIC_BASIS,
-    Channel,
     ClonerSpec,
     DensityOperator,
+    SU2Labels,
     all_clone_overlap,
     choi,
     delta_all_numeric,
@@ -21,9 +22,11 @@ from cloneopt import (
     shrinking_factor,
     single_clone_marginal,
     single_site_marginal,
+    su2_component_cloner,
     sym_dimension,
     sym_embed,
 )
+from cloneopt.channels import constant_output_channel
 
 DESK_GRID = [
     (2, 1, 2),
@@ -105,7 +108,21 @@ def test_apply_broadcasts_over_leading_axes():
     assert out.shape == (2, 3, channel.out_dim, channel.out_dim)
     for idx in np.ndindex(2, 3):
         assert np.allclose(out[idx], channel.apply(stack[idx]), atol=1e-13)
-    assert Channel.apply_fast is Channel.apply
+    # apply_fast is the pure-input map: apply_fast(v) == apply(v v^*)
+    channels = [optimal_cloner(ClonerSpec(*dims)) for dims in DESK_GRID]
+    channels += [
+        su2_component_cloner(SU2Labels(Fraction(3, 2), Fraction(1, 2), Fraction(1)), 2, 3),
+        constant_output_channel(3, 2, 3),
+    ]
+    assert channels[-2].basis_out == FULL_BASIS
+    for ch in channels:
+        for lead in [(), (5,), (2, 3)]:
+            v = rng.normal(size=lead + (ch.in_dim,)) + 1j * rng.normal(size=lead + (ch.in_dim,))
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            fast = ch.apply_fast(v)
+            assert fast.shape == lead + (ch.out_dim, ch.out_dim)
+            dense = ch.apply(v[..., :, None] * v.conj()[..., None, :])
+            assert np.max(np.abs(fast - dense)) < 1e-13
 
 
 def test_identity_limit():

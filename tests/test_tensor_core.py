@@ -120,6 +120,14 @@ def test_pure_state_normalization_enforced():
     PureState(np.array([1.0, 1.0]) / math.sqrt(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PureState(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        PureState(np.array([bad, 0.0, 0.0]))
+
+
 def test_product_power_basis_state():
     psi = PureState(np.array([1.0, 0.0, 0.0]))
     v = product_power(psi, 3)
