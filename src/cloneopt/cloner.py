@@ -249,20 +249,30 @@ def refine_supremum(values, starts: np.ndarray, seeds: list[int], iters: int = 2
 
 def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int) -> float:
     """Max of 0 and values() over Haar states of C^d seeded by hash((seed, i)),
-    evaluated _CHUNK states per call; the five best (ties in sample order)
-    are refined in lockstep from seeds refine_seed + rank.  values maps
-    amplitudes (B, d) to B values."""
+    drawn and evaluated _CHUNK states per call; the five best (ties in
+    sample order) are refined in lockstep from seeds refine_seed + rank.
+    Only the running maximum and the five best outlive a chunk, so memory
+    does not grow with samples.  values maps amplitudes (B, d) to B values."""
     if samples <= 0:
         return 0.0
-    states = np.array(
-        [haar_state(d, hash((seed, i)) & 0xFFFFFFFF).amplitudes for i in range(samples)]
-    )
-    scores = np.concatenate(
-        [values(states[k:k + _CHUNK]) for k in range(0, samples, _CHUNK)]
-    )
-    top = np.argsort(-scores, kind="stable")[:5]
-    refined = refine_supremum(values, states[top], [refine_seed + r for r in range(len(top))])
-    return float(max(0.0, scores.max(), refined.max()))
+    best = -np.inf
+    top_states = np.empty((0, d), dtype=complex)
+    top_scores = np.empty(0)
+    for k in range(0, samples, _CHUNK):
+        chunk = np.array(
+            [haar_state(d, hash((seed, i)) & 0xFFFFFFFF).amplitudes
+             for i in range(k, min(k + _CHUNK, samples))]
+        )
+        scores = values(chunk)
+        best = np.maximum(best, scores.max())
+        # earlier samples come first, so the stable sort keeps ties in sample order
+        top_states = np.concatenate([top_states, chunk])
+        top_scores = np.concatenate([top_scores, scores])
+        keep = np.argsort(-top_scores, kind="stable")[:5]
+        top_states, top_scores = top_states[keep], top_scores[keep]
+    seeds = [refine_seed + rank for rank in range(len(top_states))]
+    refined = refine_supremum(values, top_states, seeds)
+    return float(max(0.0, best, refined.max()))
 
 
 def delta_all_numeric(

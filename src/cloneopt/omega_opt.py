@@ -12,7 +12,6 @@ cloner.  All values are exact rationals.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,6 +150,27 @@ def _partitions(M: int, d: int):
     yield from _gen(d, M, M)
 
 
+def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
+    """Walk the feasible domain one dominant partition m at a time, in
+    _partitions order: yield (m, mu) with mu an int64 array holding, one
+    row per label, the mu_head of the box grid in itertools.product order
+    followed by mu_last = N - sum(mu_head) >= 0.  The guards are checked
+    before anything is enumerated."""
+    if d < 2 or N < 0 or M < 0:
+        raise ValueError("need d >= 2, N >= 0, M >= 0")
+    if M > m_guard or d > d_guard:
+        raise DimensionGuardError(
+            f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
+        )
+    for m in _partitions(M, d):
+        # a slot above N forces mu_last < 0, so the grid stops there
+        sides = [min(m[k] - m[k + 1], N) + 1 for k in range(d - 1)]
+        head = np.indices(sides, dtype=np.int64).reshape(d - 1, -1).T
+        last = N - head.sum(axis=1)
+        keep = last >= 0
+        yield m, np.column_stack([head[keep], last[keep]])
+
+
 def enumerate_W1(
     d: int,
     N: int,
@@ -159,21 +179,11 @@ def enumerate_W1(
     d_guard: int = DEFAULT_D_GUARD,
 ) -> list[CandidatePoint]:
     """Exhaustive, duplicate-free enumeration of the feasible domain."""
-    if d < 2 or N < 0 or M < 0:
-        raise ValueError("need d >= 2, N >= 0, M >= 0")
-    if M > m_guard or d > d_guard:
-        raise DimensionGuardError(
-            f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
-        )
-    points = []
-    for m in _partitions(M, d):
-        boxes = [m[k] - m[k + 1] for k in range(d - 1)]
-        for mu_head in itertools.product(*(range(b + 1) for b in boxes)):
-            mu_last = N - sum(mu_head)
-            if mu_last < 0:
-                continue
-            points.append(CandidatePoint(m, mu_head + (mu_last,)))
-    return points
+    return [
+        CandidatePoint(m, tuple(mu))
+        for m, block in _label_blocks(d, N, M, m_guard, d_guard)
+        for mu in block.tolist()
+    ]
 
 
 def _report(d, N, M, best, maximizers, count) -> OmegaReport:
@@ -198,19 +208,26 @@ def maximize_brute(
     m_guard: int = DEFAULT_M_GUARD,
     d_guard: int = DEFAULT_D_GUARD,
 ) -> OmegaReport:
-    """Global maximum of F2 over the full enumeration, with all maximizers."""
+    """Global maximum of F2 over the full enumeration, with all maximizers
+    in enumeration order.  F2 is evaluated one partition block at a time
+    in exact int64 arithmetic; only the labels that tie the maximum
+    become CandidatePoints."""
     if N < 1:
         raise ValueError("maximization needs N >= 1")
-    points = enumerate_W1(d, N, M, m_guard, d_guard)
+    slots = 2 * np.arange(1, d + 1)
     best = None
     maximizers: list[CandidatePoint] = []
-    for p in points:
-        val = f2(p)
-        if best is None or val > best:
-            best, maximizers = val, [p]
-        elif val == best:
-            maximizers.append(p)
-    return _report(d, N, M, best, maximizers, len(points))
+    count = 0
+    for m, mu in _label_blocks(d, N, M, m_guard, d_guard):
+        count += len(mu)
+        values = np.sum(mu * (2 * np.array(m) - slots - mu), axis=1)
+        top = int(values.max())
+        if best is None or top > best:
+            best, maximizers = top, []
+        if top == best:
+            ties = mu[values == top].tolist()
+            maximizers.extend(CandidatePoint(m, tuple(row)) for row in ties)
+    return _report(d, N, M, best, maximizers, count)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +336,16 @@ def maximize_greedy(
 
 
 def random_feasible_point(d: int, N: int, M: int, seed: int) -> CandidatePoint:
-    """A uniformly sampled feasible pair (m, mu), for greedy-start tests."""
+    """A uniformly sampled feasible pair (m, mu), for greedy-start tests:
+    the label at index default_rng(seed).integers(count) of the
+    enumeration order."""
     rng = np.random.default_rng(seed)
-    points = enumerate_W1(d, N, M)
-    return points[int(rng.integers(len(points)))]
+    blocks = list(_label_blocks(d, N, M, DEFAULT_M_GUARD, DEFAULT_D_GUARD))
+    index = int(rng.integers(sum(len(mu) for _, mu in blocks)))
+    for m, mu in blocks:
+        if index < len(mu):
+            return CandidatePoint(m, tuple(mu[index].tolist()))
+        index -= len(mu)
 
 
 def omega_su2(alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:

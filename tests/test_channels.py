@@ -1,5 +1,6 @@
 """CP-map machinery: Choi, twirl, dilation, covariance, direct omega."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -373,3 +374,19 @@ def test_sampled_values_pinned(kind, d, N, M, seed, value):
                    else constant_output_channel(d, N, M))
         got = delta_one_numeric(channel, samples=200, seed=seed)
     assert abs(got - value) < 1e-12
+
+
+def test_sampler_memory_does_not_grow_with_samples():
+    # states are drawn and scored one chunk at a time; drawing all of them
+    # first peaks about 0.4 MB higher at 2000 samples than at 250
+    channel = optimal_cloner(ClonerSpec(2, 1, 2))
+    delta_one_numeric(channel, samples=20, seed=1)  # fill the table caches
+    peaks = {}
+    for samples in (250, 2000):
+        tracemalloc.start()
+        try:
+            delta_one_numeric(channel, samples=samples, seed=1)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= peaks[250] + 16 * 1024, peaks

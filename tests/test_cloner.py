@@ -165,6 +165,32 @@ def test_marginal_closed_form(d, N, M):
         assert np.max(np.abs(marg - expected)) < 1e-10
 
 
+def werner_fidelity(d, N, M):
+    # single-clone fidelity of the optimal cloner as published:
+    # Werner, PRA 58, 1827 (1998)
+    return Fraction(N * (M + d) + M - N, M * (N + d))
+
+
+def gisin_massar_fidelity(N, M):
+    # qubit single-clone fidelity: Gisin & Massar, PRL 79, 2153 (1997)
+    return Fraction(M * (N + 1) + N, M * (N + 2))
+
+
+@pytest.mark.parametrize("d,N,M", DESK_GRID)
+def test_single_clone_fidelity_matches_literature(d, N, M):
+    spec = ClonerSpec(d, N, M)
+    gamma = shrinking_factor(spec)
+    fidelity = gamma + (1 - gamma) / d
+    assert fidelity == werner_fidelity(d, N, M)
+    if d == 2:
+        assert fidelity == gisin_massar_fidelity(N, M)
+    for seed in range(3):
+        psi = haar_state(d, 40 + seed)
+        v = psi.amplitudes
+        overlap = np.real(v.conj() @ single_clone_marginal(spec, psi) @ v)
+        assert abs(overlap - float(fidelity)) < 1e-12
+
+
 def test_marginal_eigenvalues():
     spec = ClonerSpec(3, 2, 4)
     gamma = float(shrinking_factor(spec))

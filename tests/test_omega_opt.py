@@ -1,6 +1,8 @@
 """Exact maximization of the omega functional over the weight-pair domain."""
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from cloneopt import (
     omega_of_point,
     omega_su2,
 )
+from cloneopt import omega_opt
 from cloneopt.omega_opt import gamma_from_omega, random_feasible_point
 
 
@@ -77,6 +80,86 @@ def test_enumeration_guard():
         enumerate_W1(2, 1, 40)
     with pytest.raises(DimensionGuardError):
         enumerate_W1(9, 1, 4, d_guard=8)
+
+
+def listed_domain(d, N, M):
+    """Reference enumeration: one CandidatePoint per label, mu_head in
+    itertools.product order over the boxes of each partition."""
+    points = []
+    for m in omega_opt._partitions(M, d):
+        boxes = [m[k] - m[k + 1] for k in range(d - 1)]
+        for mu_head in itertools.product(*(range(b + 1) for b in boxes)):
+            if sum(mu_head) <= N:
+                points.append(CandidatePoint(m, mu_head + (N - sum(mu_head),)))
+    return points
+
+
+def scanned_max(points):
+    """Reference maximization: f2 on every point, maximizers in order."""
+    best = max(f2(p) for p in points)
+    return tuple(p for p in points if f2(p) == best)
+
+
+# d = 2..8 at small M, N above, equal to and below M; M = 0 and flat
+# partitions such as (2, 2, 2) have boxes that are all zero
+ORACLE_GRID = [(d, N, M) for d in range(2, 9) for M in range(0, 7) for N in range(0, 9)]
+
+
+def test_block_walk_matches_listed_domain():
+    for d, N, M in ORACLE_GRID:
+        assert enumerate_W1(d, N, M) == listed_domain(d, N, M), (d, N, M)
+    assert CandidatePoint((2, 2, 2), (0, 0, 2)) in enumerate_W1(3, 2, 6)
+
+
+def test_brute_matches_list_scan():
+    for d, N, M in ORACLE_GRID:
+        if N < 1 or M < 1:
+            continue
+        points = enumerate_W1(d, N, M)
+        rep = maximize_brute(d, N, M)
+        maximizers = scanned_max(points)
+        assert rep.maximizers == maximizers, (d, N, M)
+        assert rep.count_enumerated == len(points), (d, N, M)
+        assert rep.omega_max == omega_of_point(maximizers[0], d, N, M), (d, N, M)
+
+
+def test_brute_keeps_tied_labels_in_enumeration_order(monkeypatch):
+    # no domain tried has a tied maximum, so make one: every label
+    # appears twice in its partition's block and once more, in reverse
+    # order, in a second block for the same partition
+    walk = omega_opt._label_blocks
+
+    def tripled(*args):
+        for m, mu in walk(*args):
+            yield m, np.concatenate([mu, mu])
+            yield m, mu[::-1]
+
+    monkeypatch.setattr(omega_opt, "_label_blocks", tripled)
+    for d, N, M in [(2, 3, 2), (3, 2, 4), (4, 3, 3)]:
+        points = enumerate_W1(d, N, M)
+        rep = maximize_brute(d, N, M)
+        assert len(rep.maximizers) == 3
+        assert rep.maximizers == scanned_max(points), (d, N, M)
+        assert rep.count_enumerated == len(points) == 3 * len(listed_domain(d, N, M))
+
+
+def test_random_feasible_point_indexes_the_enumeration():
+    for d, N, M in [(2, 1, 2), (2, 3, 7), (3, 0, 4), (3, 2, 6), (5, 4, 9), (8, 3, 6)]:
+        points = enumerate_W1(d, N, M)
+        for seed in (0, 1, 17, 977, 123456):
+            index = np.random.default_rng(seed).integers(len(points))
+            assert random_feasible_point(d, N, M, seed) == points[index], (d, N, M, seed)
+
+
+def test_brute_guard_refuses_before_enumerating(monkeypatch):
+    def refuse(M, d):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr(omega_opt, "_partitions", refuse)
+    with pytest.raises(DimensionGuardError):
+        maximize_brute(2, 1, 31)
+    with pytest.raises(DimensionGuardError):
+        maximize_brute(9, 1, 4)
 
 
 def test_brute_small_cases():
