@@ -1,9 +1,11 @@
 """Generic completely positive map machinery.
 
-Choi matrices, CP/TP checks, seeded Haar twirling, Stinespring dilation,
-covariance defects, direct measurement of the omega functional and of
-the single-clone error for arbitrary cloning channels, and explicit
-qubit component cloners built from angular-momentum coupling.
+Choi matrices and their Kraus factor, CP/TP checks, symmetric
+representations Sym^N(u) on the occupation basis, seeded Haar twirling,
+Stinespring dilation, covariance defects, direct measurement of the
+omega functional and of the single-clone error for arbitrary cloning
+channels, and explicit qubit component cloners built from
+angular-momentum coupling.
 """
 from __future__ import annotations
 
@@ -19,11 +21,11 @@ from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
     DensityOperator,
+    check_dense_guard,
     one_body_operator,
     product_power,
     single_site_marginal,
     sym_dimension,
-    sym_embed,
 )
 from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL, STRUCTURAL_TOL
 
@@ -34,10 +36,13 @@ __all__ = [
     "symmetric_rep",
     "kron_power",
     "conjugate_channel",
+    "check_choi_guard",
     "choi",
     "choi_to_kraus",
     "choi_trace_out_output",
     "min_choi_eigenvalue",
+    "choi_factor",
+    "twirl_choi",
     "twirl",
     "stinespring",
     "dilation_trace",
@@ -90,38 +95,61 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def kron_power(u: np.ndarray, n: int) -> np.ndarray:
+def kron_power(u: np.ndarray, n: int, guard: int | None = None) -> np.ndarray:
+    """u^{x n} on the full tensor space; raises DimensionGuardError when
+    d^n exceeds the dense guard."""
+    check_dense_guard(u.shape[0], n, guard)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, u)
     return out
 
 
-def symmetric_rep(u: np.ndarray, N: int, guard: int | None = None) -> np.ndarray:
-    """The unitary u^{x N} compressed to the symmetric occupation basis."""
-    d = u.shape[0]
-    E = sym_embed(d, N, guard)
-    return E.conj().T @ kron_power(u, N) @ E
+def _unitary_generator(u: np.ndarray) -> np.ndarray:
+    """Hermitian H with exp(iH) = u, from one eigendecomposition of u.
+
+    The eigenphases are read on a branch centred opposite the widest gap
+    between them, so that nearly equal eigenvalues get nearly equal
+    phases even next to -1."""
+    vals, vecs = np.linalg.eig(u)
+    ordered = np.sort(np.angle(vals))
+    gaps = np.diff(ordered, append=ordered[0] + 2 * np.pi)
+    k = np.argmax(gaps)
+    center = np.angle(-np.exp(1j * (ordered[k] + gaps[k] / 2)))
+    phases = center + np.angle(vals * np.exp(-1j * center))
+    H = vecs @ (phases[:, None] * np.linalg.inv(vecs))
+    return (H + H.conj().T) / 2
 
 
-def _output_rep(channel: Channel, u: np.ndarray, guard: int | None = None) -> np.ndarray:
-    if channel.basis_out == SYMMETRIC_BASIS:
-        return symmetric_rep(u, channel.m_out, guard)
-    return kron_power(u, channel.m_out)
+def symmetric_rep(u: np.ndarray, N: int, generator: np.ndarray | None = None) -> np.ndarray:
+    """The unitary u^{x N} compressed to the symmetric occupation basis.
 
-
-def _input_rep(channel: Channel, u: np.ndarray, guard: int | None = None) -> np.ndarray:
-    if channel.basis_in != SYMMETRIC_BASIS:
-        raise ChannelPropertyError("cloner-shaped channels need a symmetric input basis")
-    return symmetric_rep(u, channel.n_in, guard)
+    Computed as exp(i dGamma(H)) on the d[N]-dimensional occupation
+    basis, where dGamma(H) = sum_k H_(k) is the one-body operator of a
+    Hermitian generator H of u; no d^N object is built.  Pass generator
+    to share one H between the representations of one u.
+    """
+    H = _unitary_generator(u) if generator is None else generator
+    mu, W = np.linalg.eigh(one_body_operator(H, u.shape[0], N, SYMMETRIC_BASIS))
+    return (W * np.exp(1j * mu)) @ W.conj().T
 
 
 def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None) -> Channel:
-    """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M."""
-    u_in = _input_rep(channel, u, guard)
-    u_out = _output_rep(channel, u, guard)
+    """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M.
+
+    U_N and U_M are taken from one generator of u.  A full-basis output
+    needs u^{x M} itself, which raises DimensionGuardError when d^M
+    exceeds the dense guard."""
+    if channel.basis_in != SYMMETRIC_BASIS:
+        raise ChannelPropertyError("cloner-shaped channels need a symmetric input basis")
+    H = _unitary_generator(u)
+    u_in = symmetric_rep(u, channel.n_in, H)
+    if channel.basis_out == SYMMETRIC_BASIS:
+        u_out = symmetric_rep(u, channel.m_out, H)
+    else:
+        u_out = kron_power(u, channel.m_out, guard)
     return Channel(
-        kraus=[u_out.conj().T @ K @ u_in for K in channel.kraus],
+        kraus=list(u_out.conj().T @ np.stack(channel.kraus) @ u_in),
         d=channel.d,
         n_in=channel.n_in,
         m_out=channel.m_out,
@@ -130,7 +158,7 @@ def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None)
     )
 
 
-def _check_choi_guard(channel: Channel, guard: int | None) -> int:
+def check_choi_guard(channel: Channel, guard: int | None = None) -> int:
     """Side in_dim * out_dim of the Choi matrix; raises DimensionGuardError
     above the dense guard."""
     limit = DEFAULT_DENSE_GUARD if guard is None else guard
@@ -143,6 +171,31 @@ def _check_choi_guard(channel: Channel, guard: int | None) -> int:
     return dim
 
 
+def choi_factor(channel: Channel) -> np.ndarray:
+    """X = [vec K_r], of shape (in_dim * out_dim, R), with choi = X X^*.
+
+    Column r is K_r^T flattened, indexed (input, output) like choi."""
+    stacked = np.stack(channel.kraus)  # (R, out, in)
+    return stacked.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
+
+
+def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Ascending spectrum of X X^* - Y Y^* (Y absent: of X X^*).
+
+    With k = cols(X) + cols(Y) below the side, [X Y] = QT gives the k
+    non-zero eigenvalues as those of T J T^*, J = diag(1, -1); the other
+    side - k are zero.  Otherwise the side x side matrix is diagonalized."""
+    side, k_pos = X.shape
+    A = X if Y is None else np.hstack([X, Y])
+    signs = np.ones(A.shape[1])
+    signs[k_pos:] = -1.0
+    if A.shape[1] >= side:
+        return np.linalg.eigvalsh((A * signs) @ A.conj().T)
+    T = np.linalg.qr(A, mode="r")
+    vals = np.linalg.eigvalsh((T * signs) @ T.conj().T)
+    return np.sort(np.concatenate([vals, np.zeros(side - A.shape[1])]))
+
+
 def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
     """Choi matrix of the state map, indexed (input, output) x (input, output).
 
@@ -151,16 +204,15 @@ def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
     on C^d this is d times the maximally entangled projector.  Raises
     DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
-    dim = _check_choi_guard(channel, guard)
-    C = np.zeros((dim, dim), dtype=complex)
-    for K in channel.kraus:
-        v = K.T.reshape(-1)
-        C += np.outer(v, v.conj())
-    return C
+    check_choi_guard(channel, guard)
+    X = choi_factor(channel)
+    return X @ X.conj().T
 
 
 def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
-    return float(np.min(np.linalg.eigvalsh(choi(channel, guard))))
+    """Least eigenvalue of the Choi matrix, from its Kraus factor."""
+    check_choi_guard(channel, guard)
+    return float(_factor_eigvalsh(choi_factor(channel))[0])
 
 
 def choi_trace_out_output(channel: Channel) -> np.ndarray:
@@ -185,21 +237,30 @@ def choi_to_kraus(
     return kraus
 
 
+def twirl_choi(
+    channel: Channel, cfg: TwirlConfig = TwirlConfig(), guard: int | None = None
+) -> np.ndarray:
+    """Monte-Carlo Haar average of the Choi matrices of tau_u(T) over
+    seeded unitaries.  Raises DimensionGuardError when in_dim * out_dim
+    exceeds the dense guard."""
+    rng = np.random.default_rng(cfg.seed)
+    acc = np.zeros((check_choi_guard(channel, guard),) * 2, dtype=complex)
+    for _ in range(cfg.sample_count):
+        u = haar_unitary(channel.d, rng)
+        acc += choi(conjugate_channel(channel, u, guard), guard)
+    return acc / cfg.sample_count
+
+
 def twirl(
     channel: Channel, cfg: TwirlConfig = TwirlConfig(), guard: int | None = None
 ) -> Channel:
     """Monte-Carlo Haar average of tau_u(T) over seeded unitaries.
 
-    The Choi matrices of the rotated channels are averaged and converted
-    back to Kraus form; the result is CP and TP to statistical tolerance.
-    Raises DimensionGuardError when in_dim * out_dim exceeds the dense guard.
+    The averaged Choi matrix (twirl_choi) is converted back to Kraus
+    form; the result is CP and TP to statistical tolerance.  Raises
+    DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
-    rng = np.random.default_rng(cfg.seed)
-    acc = np.zeros((_check_choi_guard(channel, guard),) * 2, dtype=complex)
-    for _ in range(cfg.sample_count):
-        u = haar_unitary(channel.d, rng)
-        acc += choi(conjugate_channel(channel, u, guard), guard)
-    acc /= cfg.sample_count
+    acc = twirl_choi(channel, cfg, guard)
     return Channel(
         kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim),
         d=channel.d,
@@ -234,14 +295,17 @@ def covariance_defect(
     channel: Channel, samples: int = 50, seed: int = 0, guard: int | None = None
 ) -> float:
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
-    Haar unitaries; zero (to tolerance) iff T is covariant."""
+    Haar unitaries; zero (to tolerance) iff T is covariant.  The spectra
+    come from the Kraus factors (choi_factor); raises DimensionGuardError
+    when in_dim * out_dim exceeds the dense guard."""
+    check_choi_guard(channel, guard)
     rng = np.random.default_rng(seed)
-    C0 = choi(channel, guard)
+    X0 = choi_factor(channel)
     worst = 0.0
     for _ in range(samples):
         u = haar_unitary(channel.d, rng)
-        diff = choi(conjugate_channel(channel, u, guard), guard) - C0
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
+        vals = _factor_eigvalsh(choi_factor(conjugate_channel(channel, u, guard)), X0)
+        worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 
 

@@ -244,9 +244,8 @@ def _cmd_channel_twirl(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
     cfg = ch.TwirlConfig(sample_count=args.samples, seed=args.seed)
-    averaged = ch.twirl(channel, cfg, args.guard)
     # T is a twirl fixed point iff the averaged Choi matrix matches
-    diff = ch.choi(averaged, args.guard) - ch.choi(channel, args.guard)
+    diff = ch.twirl_choi(channel, cfg, args.guard) - ch.choi(channel, args.guard)
     dist = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     return se.estimate_report(dist, args.samples, args.seed)
 
@@ -285,21 +284,27 @@ def _cmd_verify_all(args):
         if not ok:
             failures.append(name)
 
+    # every guard this suite can hit, before any check runs
+    channel = cl.optimal_cloner(spec)
+    ch.check_choi_guard(channel, args.guard)
+    oo.check_enumeration_guard(d, M)
+
     gamma = float(cl.shrinking_factor(spec))
+    target = tc.sym_dimension(d, N) / tc.sym_dimension(d, M)
     for k in range(20):
         psi = tc.haar_state(d, seed=args.seed + k)
-        marg = cl.single_clone_marginal(spec, psi)
+        rho_out = channel.apply_fast(tc.product_power(psi, N))
+        marg = tc.single_site_marginal(tc.DensityOperator(rho_out, tc.SYMMETRIC_BASIS, d, M))
         expected = gamma * psi.projector() + (1 - gamma) / d * np.eye(d)
         check(
             f"marginal-closed-form-seed-{args.seed + k}",
             float(np.max(np.abs(marg - expected))) <= 1e-10,
         )
-        overlap = cl.all_clone_overlap(spec, psi)
-        target = tc.sym_dimension(d, N) / tc.sym_dimension(d, M)
+        v_out = tc.product_power(psi, M)
+        overlap = float(np.real(v_out.conj() @ rho_out @ v_out))
         check(
             f"all-clone-overlap-seed-{args.seed + k}", abs(overlap - target) <= 1e-10
         )
-    channel = cl.optimal_cloner(spec)
     check("trace-preserving", channel.completeness_defect() <= 1e-10)
     check("completely-positive", ch.min_choi_eigenvalue(channel, args.guard) >= -1e-10)
     check(

@@ -27,6 +27,7 @@ __all__ = [
     "omega_of_point",
     "gamma_from_omega",
     "delta_one_from_gamma",
+    "check_enumeration_guard",
     "enumerate_W1",
     "maximize_brute",
     "maximize_greedy",
@@ -150,6 +151,17 @@ def _partitions(M: int, d: int):
     yield from _gen(d, M, M)
 
 
+def check_enumeration_guard(
+    d: int, M: int, m_guard: int = DEFAULT_M_GUARD, d_guard: int = DEFAULT_D_GUARD
+) -> None:
+    """Raise DimensionGuardError when the label domain of (d, M) is past
+    the enumeration guards."""
+    if M > m_guard or d > d_guard:
+        raise DimensionGuardError(
+            f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
+        )
+
+
 def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
     """Walk the feasible domain one dominant partition m at a time, in
     _partitions order: yield (m, mu) with mu an int64 array holding, one
@@ -158,10 +170,7 @@ def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
     before anything is enumerated."""
     if d < 2 or N < 0 or M < 0:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
-    if M > m_guard or d > d_guard:
-        raise DimensionGuardError(
-            f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
-        )
+    check_enumeration_guard(d, M, m_guard, d_guard)
     for m in _partitions(M, d):
         # a slot above N forces mu_last < 0, so the grid stops there
         sides = [min(m[k] - m[k + 1], N) + 1 for k in range(d - 1)]
@@ -212,8 +221,8 @@ def maximize_brute(
     in enumeration order.  F2 is evaluated one partition block at a time
     in exact int64 arithmetic; only the labels that tie the maximum
     become CandidatePoints."""
-    if N < 1:
-        raise ValueError("maximization needs N >= 1")
+    if N < 1 or M < 1:
+        raise ValueError("maximization needs N >= 1 and M >= 1")
     slots = 2 * np.arange(1, d + 1)
     best = None
     maximizers: list[CandidatePoint] = []

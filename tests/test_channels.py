@@ -28,15 +28,22 @@ from cloneopt import (
     single_site_marginal,
     stinespring,
     su2_component_cloner,
+    sym_dimension,
+    sym_embed,
     twirl,
 )
 from cloneopt.channels import (
+    _factor_eigvalsh,
+    choi_factor,
     choi_trace_out_output,
+    conjugate_channel,
     constant_output_channel,
     dilation_trace,
+    kron_power,
     min_choi_eigenvalue,
     spin_embedding,
     su2_coupling_isometry,
+    symmetric_rep,
 )
 from cloneopt.cloner import Channel, refine_supremum
 
@@ -390,3 +397,90 @@ def test_sampler_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[2000] <= peaks[250] + 16 * 1024, peaks
+
+
+# --- symmetric representations and Choi spectra without d^M matrices -------
+
+
+def dense_symmetric_rep(u, N):
+    """Oracle: u^{x N} on the full tensor space, compressed by the
+    occupation-basis embedding E."""
+    E = sym_embed(u.shape[0], N)
+    return E.conj().T @ kron_power(u, N) @ E
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 5), (3, 4), (4, 3), (2, 10), (3, 7), (8, 2)])
+def test_symmetric_rep_matches_dense_oracle(d, N):
+    u = haar_unitary(d, np.random.default_rng(10 * d + N))
+    assert np.max(np.abs(symmetric_rep(u, N) - dense_symmetric_rep(u, N))) < 1e-12
+
+
+@pytest.mark.parametrize("d,N", [(2, 64), (3, 20), (4, 10), (8, 3)])
+def test_symmetric_rep_is_a_unitary_homomorphism(d, N):
+    rng = np.random.default_rng(d * N)
+    u, v = haar_unitary(d, rng), haar_unitary(d, rng)
+    S_u = symmetric_rep(u, N)
+    assert np.max(np.abs(S_u @ S_u.conj().T - np.eye(sym_dimension(d, N)))) < 1e-12
+    assert np.max(np.abs(S_u @ symmetric_rep(v, N) - symmetric_rep(u @ v, N))) < 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-12, 0.0])
+@pytest.mark.parametrize("near_minus_one", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_symmetric_rep_survives_close_eigenvalues(d, gap, near_minus_one):
+    # Sym^1(u) = u; two eigenphases gap apart, optionally straddling pi
+    rng = np.random.default_rng(d)
+    q = haar_unitary(d, rng)
+    phases = rng.uniform(-np.pi, np.pi, d)
+    phases[:2] = (np.pi - gap / 2, gap / 2 - np.pi) if near_minus_one else (0.3, 0.3 + gap)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    assert np.max(np.abs(symmetric_rep(u, 1) - u)) < 1e-12
+    assert np.max(np.abs(symmetric_rep(u, 4) - dense_symmetric_rep(u, 4))) < 1e-12
+
+
+def factor_test_channels():
+    # R Kraus operators against the Choi side in_dim * out_dim: 2R below
+    # the side takes the QR route for both spectra, R at or above it the
+    # dense one, and in between X X^* goes by QR and the difference dense
+    return [
+        optimal_cloner(ClonerSpec(2, 1, 2)),  # R 2, side 6
+        optimal_cloner(ClonerSpec(2, 1, 3)),  # R 3, side 8
+        optimal_cloner(ClonerSpec(3, 2, 4)),  # R 3, side 90
+        optimal_cloner(ClonerSpec(3, 3, 3)),  # R 1, side 100
+        constant_output_channel(2, 1, 3),  # R 2, side 8
+        constant_output_channel(2, 2, 2),  # R 3, side 9
+        su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4),  # R 3, side 48
+        Channel(kraus=[np.eye(2, dtype=complex) / math.sqrt(3)] * 3, d=2, n_in=1, m_out=1),  # R 3, side 4
+        Channel(kraus=[np.eye(2, dtype=complex) / 2] * 4, d=2, n_in=1, m_out=1),  # R 4, side 4
+    ]
+
+
+@pytest.mark.parametrize("channel", factor_test_channels())
+def test_factor_spectra_match_dense_eigvalsh(channel):
+    C0 = choi(channel)
+    assert np.allclose(choi_factor(channel) @ choi_factor(channel).conj().T, C0, atol=1e-14)
+    dense = np.linalg.eigvalsh(C0)
+    assert np.max(np.abs(_factor_eigvalsh(choi_factor(channel)) - dense)) < 1e-12
+    assert abs(min_choi_eigenvalue(channel) - dense[0]) < 1e-12
+    u = haar_unitary(channel.d, np.random.default_rng(3))
+    rotated = conjugate_channel(channel, u)
+    dense_diff = np.linalg.eigvalsh(choi(rotated) - C0)
+    fast_diff = _factor_eigvalsh(choi_factor(rotated), choi_factor(channel))
+    assert np.max(np.abs(fast_diff - dense_diff)) < 1e-12
+
+
+def test_conjugation_matches_dense_oracle():
+    channel = constant_output_channel(3, 1, 3)
+    u = haar_unitary(3, np.random.default_rng(4))
+    U_in, U_out = dense_symmetric_rep(u, 1), dense_symmetric_rep(u, 3)
+    dense = [U_out.conj().T @ K @ U_in for K in channel.kraus]
+    for K, D in zip(conjugate_channel(channel, u).kraus, dense):
+        assert np.max(np.abs(K - D)) < 1e-12
+
+
+def test_full_basis_conjugation_keeps_the_dense_guard():
+    channel = su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4)
+    u = haar_unitary(2, np.random.default_rng(5))
+    with pytest.raises(DimensionGuardError):
+        conjugate_channel(channel, u, guard=15)  # u^{x 4} has side 16
+    assert conjugate_channel(channel, u, guard=16).out_dim == 16

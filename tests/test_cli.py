@@ -200,14 +200,46 @@ def test_cloner_edges_answer_or_refuse(sub, d, n, m):
     ("delta-one", 10, 2, 1, 64), ("delta-one", 10, 8, 1, 2),
     ("defect", 1, 3, 16, 17), ("defect", 1, 2, 1, 64),
     ("twirl", 1, 3, 16, 17), ("twirl", 1, 2, 1, 64),
+    ("defect", 1, 3, 2, 8), ("defect", 1, 3, 1, 33), ("defect", 1, 2, 26, 64),
+    ("twirl", 1, 3, 2, 8), ("twirl", 1, 3, 1, 33), ("twirl", 1, 2, 26, 64),
 ])
 def test_channel_edges_answer_or_refuse(sub, samples, d, n, m):
     answer_or_refuse("channel", sub, "--d", d, "--n", n, "--m", m, "--samples", samples)
 
 
-@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (3, 16, 17)])
+@pytest.mark.parametrize("d,n,m", [(2, 1, 64), (2, 63, 64), (8, 1, 2), (3, 16, 17),
+                                   (3, 1, 33)])
 def test_verify_edges_answer_or_refuse(d, n, m):
     answer_or_refuse("verify", "all", "--d", d, "--n", n, "--m", m)
+
+
+def test_verify_answers_past_the_dense_guard():
+    # 3^8 = 6561 is above the dense guard; the Choi side is 3 * 45 = 135
+    proc = run_child("-m", "cloneopt.cli", "verify", "all", "--d", 3, "--n", 1, "--m", 8)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_verify_refuses_before_any_check():
+    # (3, 1, 33) passes the Kraus and Choi guards but not the omega
+    # domain guard (M <= 30); the refusal comes before the defect samples
+    proc = run_child("-m", "cloneopt.cli", "verify", "all", "--d", 3, "--n", 1, "--m", 33)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: enumeration guard exceeded (M <= 30, d <= 8)\n"
+
+
+def test_verify_builds_no_dense_matrix(monkeypatch):
+    from cloneopt import channels, cloner, tensor_core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense d^M construction")
+
+    for module, name in [(tensor_core, "sym_embed"), (cloner, "sym_embed"),
+                         (channels, "kron_power")]:
+        monkeypatch.setattr(module, name, refuse)
+    code, out = capture(["verify", "all", "--d", "2", "--n", "1", "--m", "11"])
+    assert code == 0
+    assert out == '{"ok": true, "d": 2, "n": 1, "m": 11, "failures": []}\n'
 
 
 @pytest.mark.parametrize("state", ["[[NaN,0],[1,0]]", "[[1,0],[1e400,0]]",

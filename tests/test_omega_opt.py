@@ -172,6 +172,13 @@ def test_brute_small_cases():
     assert rep.delta_one == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("d,N", [(2, 1), (3, 2), (8, 5)])
+def test_brute_rejects_empty_output(d, N):
+    # M = 0 has a one-label domain but no omega: gamma = (N/M) omega
+    with pytest.raises(ValueError, match="M >= 1"):
+        maximize_brute(d, N, 0)
+
+
 def test_brute_reversed_direction():
     # N > M is allowed by the domain; maximizer mu = (M, 0, ..., N - M)
     rep = maximize_brute(2, 3, 2)
