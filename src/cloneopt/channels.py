@@ -121,15 +121,14 @@ def _unitary_generator(u: np.ndarray) -> np.ndarray:
     return (H + H.conj().T) / 2
 
 
-def symmetric_rep(u: np.ndarray, N: int, generator: np.ndarray | None = None) -> np.ndarray:
+def symmetric_rep(u: np.ndarray, N: int) -> np.ndarray:
     """The unitary u^{x N} compressed to the symmetric occupation basis.
 
     Computed as exp(i dGamma(H)) on the d[N]-dimensional occupation
     basis, where dGamma(H) = sum_k H_(k) is the one-body operator of a
-    Hermitian generator H of u; no d^N object is built.  Pass generator
-    to share one H between the representations of one u.
+    Hermitian generator H of u; no d^N object is built.
     """
-    H = _unitary_generator(u) if generator is None else generator
+    H = _unitary_generator(u)
     mu, W = np.linalg.eigh(one_body_operator(H, u.shape[0], N, SYMMETRIC_BASIS))
     return (W * np.exp(1j * mu)) @ W.conj().T
 
@@ -137,15 +136,13 @@ def symmetric_rep(u: np.ndarray, N: int, generator: np.ndarray | None = None) ->
 def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None) -> Channel:
     """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M.
 
-    U_N and U_M are taken from one generator of u.  A full-basis output
-    needs u^{x M} itself, which raises DimensionGuardError when d^M
-    exceeds the dense guard."""
+    A full-basis output needs u^{x M} itself, which raises
+    DimensionGuardError when d^M exceeds the dense guard."""
     if channel.basis_in != SYMMETRIC_BASIS:
         raise ChannelPropertyError("cloner-shaped channels need a symmetric input basis")
-    H = _unitary_generator(u)
-    u_in = symmetric_rep(u, channel.n_in, H)
+    u_in = symmetric_rep(u, channel.n_in)
     if channel.basis_out == SYMMETRIC_BASIS:
-        u_out = symmetric_rep(u, channel.m_out, H)
+        u_out = symmetric_rep(u, channel.m_out)
     else:
         u_out = kron_power(u, channel.m_out, guard)
     return Channel(
@@ -182,18 +179,16 @@ def choi_factor(channel: Channel) -> np.ndarray:
 def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Ascending spectrum of X X^* - Y Y^* (Y absent: of X X^*).
 
-    With k = cols(X) + cols(Y) below the side, [X Y] = QT gives the k
-    non-zero eigenvalues as those of T J T^*, J = diag(1, -1); the other
-    side - k are zero.  Otherwise the side x side matrix is diagonalized."""
+    [X Y] = QT with T of min(side, k) rows, k = cols(X) + cols(Y), so
+    the spectrum is that of T J T^*, J = diag(1, -1), padded with zeros
+    to the side."""
     side, k_pos = X.shape
     A = X if Y is None else np.hstack([X, Y])
     signs = np.ones(A.shape[1])
     signs[k_pos:] = -1.0
-    if A.shape[1] >= side:
-        return np.linalg.eigvalsh((A * signs) @ A.conj().T)
     T = np.linalg.qr(A, mode="r")
     vals = np.linalg.eigvalsh((T * signs) @ T.conj().T)
-    return np.sort(np.concatenate([vals, np.zeros(side - A.shape[1])]))
+    return np.sort(np.concatenate([vals, np.zeros(side - T.shape[0])]))
 
 
 def choi(channel: Channel, guard: int | None = None) -> np.ndarray:

@@ -293,15 +293,13 @@ def _cmd_verify_all(args):
     target = tc.sym_dimension(d, N) / tc.sym_dimension(d, M)
     for k in range(20):
         psi = tc.haar_state(d, seed=args.seed + k)
-        rho_out = channel.apply_fast(tc.product_power(psi, N))
-        marg = tc.single_site_marginal(tc.DensityOperator(rho_out, tc.SYMMETRIC_BASIS, d, M))
+        marg = cl.single_clone_marginal(channel, psi)
         expected = gamma * psi.projector() + (1 - gamma) / d * np.eye(d)
         check(
             f"marginal-closed-form-seed-{args.seed + k}",
             float(np.max(np.abs(marg - expected))) <= 1e-10,
         )
-        v_out = tc.product_power(psi, M)
-        overlap = float(np.real(v_out.conj() @ rho_out @ v_out))
+        overlap = cl.all_clone_overlap(channel, psi)
         check(
             f"all-clone-overlap-seed-{args.seed + k}", abs(overlap - target) <= 1e-10
         )

@@ -199,22 +199,25 @@ def delta_one_closed_form(spec: ClonerSpec) -> Fraction:
     return Fraction(spec.d - 1, spec.d) * abs(1 - gamma)
 
 
-def single_clone_marginal(spec: ClonerSpec, psi: PureState) -> np.ndarray:
+def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState) -> np.ndarray:
     """One-site output marginal of the optimal cloner on psi^{x N}.
 
     Equals gamma |psi><psi| + (1 - gamma)/d within structural tolerance.
+    The cloner is given by its spec or as the channel already built.
     """
-    channel = optimal_cloner(spec)
-    rho_out = channel.apply_fast(product_power(psi, spec.n_in))
-    dens = DensityOperator(rho_out, SYMMETRIC_BASIS, spec.d, spec.m_out)
+    channel = optimal_cloner(cloner) if isinstance(cloner, ClonerSpec) else cloner
+    rho_out = channel.apply_fast(product_power(psi, channel.n_in))
+    dens = DensityOperator(rho_out, SYMMETRIC_BASIS, channel.d, channel.m_out)
     return single_site_marginal(dens)
 
 
-def all_clone_overlap(spec: ClonerSpec, psi: PureState) -> float:
-    """tr(sigma^{x M} T(sigma^{x N})): equals d[N]/d[M] for every psi."""
-    channel = optimal_cloner(spec)
-    v_out = product_power(psi, spec.m_out)
-    rho_out = channel.apply_fast(product_power(psi, spec.n_in))
+def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:
+    """tr(sigma^{x M} T(sigma^{x N})): equals d[N]/d[M] for every psi.
+
+    The cloner is given by its spec or as the channel already built."""
+    channel = optimal_cloner(cloner) if isinstance(cloner, ClonerSpec) else cloner
+    v_out = product_power(psi, channel.m_out)
+    rho_out = channel.apply_fast(product_power(psi, channel.n_in))
     return float(np.real(v_out.conj() @ rho_out @ v_out))
 
 

@@ -439,9 +439,10 @@ def test_symmetric_rep_survives_close_eigenvalues(d, gap, near_minus_one):
 
 
 def factor_test_channels():
-    # R Kraus operators against the Choi side in_dim * out_dim: 2R below
-    # the side takes the QR route for both spectra, R at or above it the
-    # dense one, and in between X X^* goes by QR and the difference dense
+    # R Kraus operators against the Choi side in_dim * out_dim: with 2R
+    # below the side the QR factor T is tall and thin, with R at or above
+    # it T is wide (side rows), and in between X alone is thin and [X_u X_0]
+    # wide
     return [
         optimal_cloner(ClonerSpec(2, 1, 2)),  # R 2, side 6
         optimal_cloner(ClonerSpec(2, 1, 3)),  # R 3, side 8

@@ -209,6 +209,14 @@ def test_all_clone_overlap(d, N, M):
         assert abs(all_clone_overlap(spec, psi) - target) < 1e-10
 
 
+def test_marginal_and_overlap_take_a_built_cloner():
+    spec = ClonerSpec(3, 1, 4)
+    channel = optimal_cloner(spec)
+    psi = haar_state(3, 5)
+    assert np.array_equal(single_clone_marginal(channel, psi), single_clone_marginal(spec, psi))
+    assert all_clone_overlap(channel, psi) == all_clone_overlap(spec, psi)
+
+
 def test_delta_all_value():
     # d=2, N=1, M=2: || T(sigma) - sigma^2 ||_1 = 2 (1 - 2/3) = 2/3
     est = delta_all_numeric(ClonerSpec(2, 1, 2), samples=50, seed=1)
