@@ -364,6 +364,10 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     The inner supremum over effects 0 <= a <= 1 is evaluated analytically
     as the sum of positive eigenvalues of (marginal - |psi><psi|); the
     outer supremum is sampled with local refinement of the best states.
+    Seeded as cloner._sampled_supremum describes: one SeedSequence(seed)
+    per call, so the value does not depend on the Python version or on
+    the chunk size, and the states of a run are the first of any longer
+    run.
     """
     d, N, M = channel.d, channel.n_in, channel.m_out
     sites = [0] if channel.basis_out == SYMMETRIC_BASIS else list(range(M))
@@ -378,7 +382,7 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
             best_site = np.maximum(best_site, np.sum(np.where(vals > 0, vals, 0.0), axis=-1))
         return best_site
 
-    return _sampled_supremum(values, d, samples, seed, refine_seed=seed + 2000)
+    return _sampled_supremum(values, d, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,9 @@ def _check_ranges(args) -> None:
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     m = getattr(args, "m", None)
     if m is not None:
         if not 0 <= m <= 64:

@@ -20,7 +20,6 @@ from .tensor_core import (
     DensityOperator,
     PureState,
     check_dense_guard,
-    haar_state,
     occupation_basis,
     occupation_index,
     product_power,
@@ -226,12 +225,13 @@ def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:
 _CHUNK = 16
 
 
-def refine_supremum(values, starts: np.ndarray, seeds: list[int], iters: int = 20) -> np.ndarray:
+def refine_supremum(values, starts: np.ndarray, seeds: list, iters: int = 20) -> np.ndarray:
     """Gradient-free local refinement: from each start, random perturbations
     with a shrinking step, keeping the best value seen.  The chains run in
     lockstep, one values() call per step; chain c draws from
-    default_rng(seeds[c]), so it takes the steps it would take alone.
-    values maps amplitudes (B, d) to B values; returns each chain's best."""
+    default_rng(seeds[c]) (an int or a SeedSequence), so it takes the
+    steps it would take alone.  values maps amplitudes (B, d) to B values;
+    returns each chain's best."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_psi = np.array(starts, dtype=complex)
     best = values(best_psi)
@@ -250,22 +250,29 @@ def refine_supremum(values, starts: np.ndarray, seeds: list[int], iters: int = 2
     return best
 
 
-def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int) -> float:
-    """Max of 0 and values() over Haar states of C^d seeded by hash((seed, i)),
-    drawn and evaluated _CHUNK states per call; the five best (ties in
-    sample order) are refined in lockstep from seeds refine_seed + rank.
-    Only the running maximum and the five best outlive a chunk, so memory
-    does not grow with samples.  values maps amplitudes (B, d) to B values."""
+def _sampled_supremum(values, d: int, samples: int, seed: int) -> float:
+    """Max of 0 and values() over Haar states of C^d, refined locally.
+
+    One SeedSequence(seed) per run, spawned into six children.  The first
+    drives the draws: state i is the normalised z_i + i w_i from the 2d
+    consecutive normals (z_i, w_i) of its stream, drawn and evaluated
+    _CHUNK states per call, so the states do not depend on _CHUNK and the
+    n states of an n-sample run are the first n of any longer run.  The
+    other five seed the lockstep refinement chains of the five best states
+    (ties in sample order), one child per rank.  Only the running maximum
+    and the five best outlive a chunk, so memory does not grow with
+    samples.  values maps amplitudes (B, d) to B values."""
     if samples <= 0:
         return 0.0
+    draws, *chains = np.random.SeedSequence(seed).spawn(6)
+    rng = np.random.default_rng(draws)
     best = -np.inf
     top_states = np.empty((0, d), dtype=complex)
     top_scores = np.empty(0)
     for k in range(0, samples, _CHUNK):
-        chunk = np.array(
-            [haar_state(d, hash((seed, i)) & 0xFFFFFFFF).amplitudes
-             for i in range(k, min(k + _CHUNK, samples))]
-        )
+        z = rng.standard_normal((min(_CHUNK, samples - k), 2, d))
+        chunk = z[:, 0] + 1j * z[:, 1]
+        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         scores = values(chunk)
         best = np.maximum(best, scores.max())
         # earlier samples come first, so the stable sort keeps ties in sample order
@@ -273,8 +280,7 @@ def _sampled_supremum(values, d: int, samples: int, seed: int, refine_seed: int)
         top_scores = np.concatenate([top_scores, scores])
         keep = np.argsort(-top_scores, kind="stable")[:5]
         top_states, top_scores = top_states[keep], top_scores[keep]
-    seeds = [refine_seed + rank for rank in range(len(top_states))]
-    refined = refine_supremum(values, top_states, seeds)
+    refined = refine_supremum(values, top_states, chains[:len(top_states)])
     return float(max(0.0, best, refined.max()))
 
 
@@ -285,7 +291,10 @@ def delta_all_numeric(
 
     Covariance of the optimal cloner makes the objective state
     independent, so sampling is confirmation rather than search; the top
-    candidates are still refined locally.
+    candidates are still refined locally.  Seeded as _sampled_supremum
+    describes: one SeedSequence(seed) per call, so the value does not
+    depend on the Python version or on the chunk size, and the states of
+    a run are the first of any longer run.
     """
     channel = optimal_cloner(spec)
 
@@ -296,4 +305,4 @@ def delta_all_numeric(
         diff -= v_out[..., :, None] * v_out.conj()[..., None, :]
         return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
-    return _sampled_supremum(values, spec.d, samples, seed, refine_seed=seed + 1000)
+    return _sampled_supremum(values, spec.d, samples, seed)

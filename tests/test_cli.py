@@ -169,10 +169,11 @@ def test_guard_flag_sets_the_choi_limit(argv, capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(*argv):
+def run_child(*argv, env=None):
     # a separate process, so that a run past the guard is killed at 10 s
-    # and every line it writes to stderr (warnings too) is seen
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # and every line it writes to stderr (warnings too) is seen; env adds
+    # variables to the child's environment
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, *map(str, argv)],
@@ -271,6 +272,26 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "delta-one"], ["channel", "defect"], ["verify", "all"], ["cloner", "apply"],
+])
+def test_negative_seed_exits_2(argv, capsys):
+    code = run(argv + ["--d", "2", "--n", "1", "--m", "2", "--seed", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -3\n"
+
+
+def test_seeded_delta_one_does_not_depend_on_the_hash_seed():
+    argv = ["-m", "cloneopt.cli", "channel", "delta-one", "--d", 3, "--n", 1, "--m", 2,
+            "--samples", 50, "--seed", 7]
+    first = run_child(*argv, env={"PYTHONHASHSEED": "0"})
+    second = run_child(*argv, env={"PYTHONHASHSEED": "12345"})
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
 
 
 def test_table_format():
