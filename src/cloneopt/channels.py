@@ -382,7 +382,7 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
             best_site = np.maximum(best_site, np.sum(np.where(vals > 0, vals, 0.0), axis=-1))
         return best_site
 
-    return _sampled_supremum(values, d, samples, seed)
+    return _sampled_supremum(values, channel, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -220,28 +220,45 @@ def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:
     return float(np.real(v_out.conj() @ rho_out @ v_out))
 
 
-# Sampled states evaluated per batch: large enough to amortize the numpy
-# calls, small enough that the stacked output states stay small.
+# Sampled states scored per values() call: at least _CHUNK, raised up to
+# _CHUNK_MAX while a chunk's stacked Kraus images and output states,
+# 16 * out_dim * (R + out_dim) bytes per state, fit in _CHUNK_BYTES.
+# Small channels then spread the fixed numpy costs of a call over more
+# states; channels whose _CHUNK states already exceed the budget keep
+# _CHUNK, so no channel makes more calls than at a fixed 16, and none
+# holds more per call than the larger of 16 states and _CHUNK_BYTES.
 _CHUNK = 16
+_CHUNK_MAX = 64
+_CHUNK_BYTES = 2**20
 
 
-def refine_supremum(values, starts: np.ndarray, seeds: list, iters: int = 20) -> np.ndarray:
-    """Gradient-free local refinement: from each start, random perturbations
-    with a shrinking step, keeping the best value seen.  The chains run in
-    lockstep, one values() call per step; chain c draws from
-    default_rng(seeds[c]) (an int or a SeedSequence), so it takes the
-    steps it would take alone.  values maps amplitudes (B, d) to B values;
-    returns each chain's best."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+def _chunk_size(channel: Channel) -> int:
+    """States the sampler scores per values() call for this channel."""
+    per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
+    return max(_CHUNK, min(_CHUNK_MAX, _CHUNK_BYTES // per_state))
+
+
+def refine_supremum(
+    values, starts: np.ndarray, scores: np.ndarray, seeds: list, iters: int = 20
+) -> np.ndarray:
+    """Gradient-free local refinement: from each start, whose value is
+    given in scores, random perturbations with a shrinking step, keeping
+    the best value seen.  The chains run in lockstep, one values() call
+    per step and none for the starts.  Chain c draws all its noise up
+    front, one default_rng(seeds[c]).normal((iters, 2, d)) call (seeds
+    are ints or SeedSequences), the same stream as drawing the real and
+    imaginary parts step by step, so it takes the steps it would take
+    alone.  values maps amplitudes (B, d) to B values; returns each
+    chain's best."""
     best_psi = np.array(starts, dtype=complex)
-    best = values(best_psi)
-    step = np.full(len(rngs), 0.3)
+    best = np.array(scores, dtype=float)
     d = best_psi.shape[1]
-    for _ in range(iters):
-        z = np.array([rng.normal(size=d) + 1j * rng.normal(size=d) for rng in rngs])
-        cand = best_psi + step[:, None] * z
-        for row in cand:
-            row /= np.linalg.norm(row)
+    noise = np.array([np.random.default_rng(seed).normal(size=(iters, 2, d)) for seed in seeds])
+    noise = noise[:, :, 0] + 1j * noise[:, :, 1]
+    step = np.full(len(seeds), 0.3)
+    for t in range(iters):
+        cand = best_psi + step[:, None] * noise[:, t]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         val = values(cand)
         better = val > best
         best = np.where(better, val, best)
@@ -250,27 +267,31 @@ def refine_supremum(values, starts: np.ndarray, seeds: list, iters: int = 20) ->
     return best
 
 
-def _sampled_supremum(values, d: int, samples: int, seed: int) -> float:
-    """Max of 0 and values() over Haar states of C^d, refined locally.
+def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> float:
+    """Max of 0 and values() over Haar states of C^d (d = channel.d),
+    refined locally.
 
     One SeedSequence(seed) per run, spawned into six children.  The first
     drives the draws: state i is the normalised z_i + i w_i from the 2d
     consecutive normals (z_i, w_i) of its stream, drawn and evaluated
-    _CHUNK states per call, so the states do not depend on _CHUNK and the
-    n states of an n-sample run are the first n of any longer run.  The
-    other five seed the lockstep refinement chains of the five best states
-    (ties in sample order), one child per rank.  Only the running maximum
-    and the five best outlive a chunk, so memory does not grow with
-    samples.  values maps amplitudes (B, d) to B values."""
+    _chunk_size(channel) states per call, so the states do not depend on
+    the chunk size and the n states of an n-sample run are the first n of
+    any longer run.  The other five seed the lockstep refinement chains
+    of the five best states (ties in sample order), one child per rank;
+    their scores go along, so refinement makes exactly one values() call
+    per step.  Only the running maximum and the five best outlive a
+    chunk, so memory does not grow with samples.  values maps amplitudes
+    (B, d) to B values."""
     if samples <= 0:
         return 0.0
+    d, chunk_size = channel.d, _chunk_size(channel)
     draws, *chains = np.random.SeedSequence(seed).spawn(6)
     rng = np.random.default_rng(draws)
     best = -np.inf
     top_states = np.empty((0, d), dtype=complex)
     top_scores = np.empty(0)
-    for k in range(0, samples, _CHUNK):
-        z = rng.standard_normal((min(_CHUNK, samples - k), 2, d))
+    for k in range(0, samples, chunk_size):
+        z = rng.standard_normal((min(chunk_size, samples - k), 2, d))
         chunk = z[:, 0] + 1j * z[:, 1]
         chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         scores = values(chunk)
@@ -280,7 +301,7 @@ def _sampled_supremum(values, d: int, samples: int, seed: int) -> float:
         top_scores = np.concatenate([top_scores, scores])
         keep = np.argsort(-top_scores, kind="stable")[:5]
         top_states, top_scores = top_states[keep], top_scores[keep]
-    refined = refine_supremum(values, top_states, chains[:len(top_states)])
+    refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)])
     return float(max(0.0, best, refined.max()))
 
 
@@ -305,4 +326,4 @@ def delta_all_numeric(
         diff -= v_out[..., :, None] * v_out.conj()[..., None, :]
         return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
-    return _sampled_supremum(values, spec.d, samples, seed)
+    return _sampled_supremum(values, channel, samples, seed)

@@ -96,12 +96,13 @@ def omega_report_to_json(report: OmegaReport) -> dict:
     }
 
 
-def estimate_report(estimate: float, samples: int, seed: int, stderr: float | None = None) -> dict:
+def estimate_report(estimate: float, samples: int, seed: int) -> dict:
+    """A seeded sampled estimate.  The sampled suprema are maxima, not
+    means, so there is no standard error to report."""
     return {
         "estimate": float(estimate),
         "samples": int(samples),
         "seed": int(seed),
-        "stderr": None if stderr is None else float(stderr),
     }
 
 

@@ -285,7 +285,9 @@ def sequential_refine(value_fn, psi0, seed, iters=20):
     for _ in range(iters):
         z = rng.normal(size=best_psi.shape[0]) + 1j * rng.normal(size=best_psi.shape[0])
         cand = best_psi + step * z
-        cand /= np.linalg.norm(cand)
+        # the row-wise norm of the lockstep chains, not the vector norm,
+        # which differs by an ulp on some rows
+        cand /= np.linalg.norm(cand[None], axis=1)[0]
         val = value_fn(cand)
         if val > best:
             best, best_psi = val, cand
@@ -329,10 +331,26 @@ def test_lockstep_refinement_equals_sequential_chains():
 
     starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
     seeds = [40 + rank for rank in range(5)]
-    lockstep = refine_supremum(lambda batch: np.array([value(p) for p in batch]), starts, seeds)
+    scores = np.array([value(p) for p in starts])
+    lockstep = refine_supremum(lambda batch: np.array([value(p) for p in batch]), starts, scores, seeds)
     sequential = [sequential_refine(value, psi, seed) for psi, seed in zip(starts, seeds)]
     assert lockstep.tolist() == sequential
     assert len(set(sequential)) == 5
+
+
+@pytest.mark.parametrize("iters", [0, 1, 20])
+def test_refinement_makes_one_call_per_step(iters):
+    calls = []
+
+    def values(batch):
+        calls.append(len(batch))
+        return -np.abs(batch[:, 0]) ** 2
+
+    starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
+    scores = -np.abs(starts[:, 0]) ** 2
+    best = refine_supremum(values, starts, scores, list(range(5)), iters=iters)
+    assert calls == [5] * iters
+    assert np.all(best >= scores)
 
 
 @pytest.mark.parametrize("labels,N,M", [
@@ -393,16 +411,21 @@ def test_sampled_values_pinned(kind, d, N, M, seed, value):
 def test_sampled_value_does_not_depend_on_chunk(monkeypatch):
     # not covariant: the value depends on every sampled state
     channel = constant_output_channel(3, 1, 2)
+    assert cloner._chunk_size(channel) == 64
     got = []
-    for chunk in (1, 7, 16):
-        monkeypatch.setattr(cloner, "_CHUNK", chunk)
+    # fixed chunk sizes, and the one the byte rule picks for this channel
+    for chunk in (1, 7, 16, 64):
+        asked = []
+        monkeypatch.setattr(cloner, "_chunk_size",
+                            lambda ch, chunk=chunk: asked.append(ch) or chunk)
         got.append(delta_one_numeric(channel, samples=37, seed=5))
-    assert got[0] == got[1] == got[2]
+        assert len(asked) == 1 and asked[0] is channel
+    assert got[0] == got[1] == got[2] == got[3]
 
 
 def test_sampled_states_are_a_prefix_of_longer_runs(monkeypatch):
     monkeypatch.setattr(cloner, "refine_supremum",
-                        lambda values, starts, seeds: np.zeros(len(starts)))
+                        lambda values, starts, scores, seeds: np.zeros(len(starts)))
 
     def drawn(samples):
         seen = []
@@ -411,7 +434,7 @@ def test_sampled_states_are_a_prefix_of_longer_runs(monkeypatch):
             seen.append(amps.copy())
             return np.zeros(len(amps))
 
-        cloner._sampled_supremum(values, 3, samples, seed=5)
+        cloner._sampled_supremum(values, identity_channel(3), samples, seed=5)
         return np.concatenate(seen)
 
     short, long = drawn(10), drawn(40)

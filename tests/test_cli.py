@@ -113,6 +113,16 @@ def test_channel_subcommands():
     assert json.loads(out)["estimate"] < 1e-10
 
 
+@pytest.mark.parametrize("sub", ["delta-one", "defect", "twirl"])
+def test_sampled_estimates_print_estimate_samples_seed(sub):
+    code, out = capture(["channel", sub, "--d", "2", "--n", "1", "--m", "2",
+                         "--samples", "5", "--seed", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["estimate", "samples", "seed"]
+    assert (doc["samples"], doc["seed"]) == (5, 4)
+
+
 def test_verify_all():
     code, out = capture(["verify", "all", "--d", "2", "--n", "1", "--m", "2",
                          "--seed", "7"])

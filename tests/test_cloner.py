@@ -26,6 +26,7 @@ from cloneopt import (
     sym_dimension,
     sym_embed,
 )
+from cloneopt import cloner
 from cloneopt.channels import constant_output_channel
 
 DESK_GRID = [
@@ -244,3 +245,18 @@ def test_to_full_output_preserves_action():
     dens = DensityOperator(channel.apply(rho), SYMMETRIC_BASIS, 2, 2)
     marg = single_site_marginal(dens)
     assert abs(np.trace(marg) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d,N,M", DESK_GRID + [(4, 1, 5), (4, 2, 4), (8, 1, 4), (4, 5, 9)])
+def test_sampler_chunk_fits_the_byte_budget(d, N, M):
+    channel = optimal_cloner(ClonerSpec(d, N, M))
+    # complex entries of the stacked K_r v and of the output state, per state
+    per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
+    chunk = cloner._chunk_size(channel)
+    assert 16 <= chunk <= 64
+    if chunk > 16:
+        assert chunk * per_state <= cloner._CHUNK_BYTES
+    if (d, N, M) in DESK_GRID:
+        assert chunk == 64
+    if (d, N, M) in [(8, 1, 4), (4, 5, 9)]:
+        assert chunk == 16
