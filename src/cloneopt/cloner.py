@@ -232,38 +232,64 @@ _CHUNK_MAX = 64
 _CHUNK_BYTES = 2**20
 
 
+def _states_in_budget(channel: Channel) -> int:
+    """States whose stacked Kraus images and output states fit in _CHUNK_BYTES."""
+    return _CHUNK_BYTES // (16 * channel.out_dim * (len(channel.kraus) + channel.out_dim))
+
+
 def _chunk_size(channel: Channel) -> int:
     """States the sampler scores per values() call for this channel."""
-    per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
-    return max(_CHUNK, min(_CHUNK_MAX, _CHUNK_BYTES // per_state))
+    return max(_CHUNK, min(_CHUNK_MAX, _states_in_budget(channel)))
 
 
 def refine_supremum(
-    values, starts: np.ndarray, scores: np.ndarray, seeds: list, iters: int = 20
+    values, starts: np.ndarray, scores: np.ndarray, seeds: list,
+    iters: int = 20, batch: int = _CHUNK,
 ) -> np.ndarray:
     """Gradient-free local refinement: from each start, whose value is
     given in scores, random perturbations with a shrinking step, keeping
-    the best value seen.  The chains run in lockstep, one values() call
-    per step and none for the starts.  Chain c draws all its noise up
-    front, one default_rng(seeds[c]).normal((iters, 2, d)) call (seeds
-    are ints or SeedSequences), the same stream as drawing the real and
-    imaginary parts step by step, so it takes the steps it would take
-    alone.  values maps amplitudes (B, d) to B values; returns each
-    chain's best."""
+    the best value seen.  Step t of a chain tries normalize(best_psi +
+    s * noise[t]); a better value is accepted and keeps s, a worse one
+    shrinks s by 0.7.  Chain c draws all its noise up front, one
+    default_rng(seeds[c]).normal((iters, 2, d)) call (seeds are ints or
+    SeedSequences), the same stream as drawing the real and imaginary
+    parts step by step, so it takes the steps it would take alone.
+
+    Until a chain accepts, its path is fixed, so its steps are scored
+    ahead: each values() call takes the next max(1, batch // live) steps
+    of every live chain.  A chain moves to its first accepted step and
+    drops the rest of that call's scores, or past all of them if none is
+    better.  So there are at most iters calls of at most max(batch,
+    len(seeds)) states, and none for the starts.  The step sizes are the
+    running products 0.3 * 0.7 * ... of the one-step-at-a-time loop, so
+    whenever values() scores each row independently of the others, every
+    accept decision and the result are those of that loop.  values maps
+    amplitudes (B, d) to B values; returns each chain's best."""
     best_psi = np.array(starts, dtype=complex)
     best = np.array(scores, dtype=float)
     d = best_psi.shape[1]
     noise = np.array([np.random.default_rng(seed).normal(size=(iters, 2, d)) for seed in seeds])
     noise = noise[:, :, 0] + 1j * noise[:, :, 1]
-    step = np.full(len(seeds), 0.3)
-    for t in range(iters):
-        cand = best_psi + step[:, None] * noise[:, t]
+    # step size after j rejections, multiplied out as the loop would
+    steps = np.cumprod(np.r_[0.3, np.full(iters, 0.7)])
+    pos = np.zeros(len(seeds), dtype=int)       # next step of each chain
+    rejected = np.zeros(len(seeds), dtype=int)  # its rejections so far
+    while (live := np.flatnonzero(pos < iters)).size:
+        counts = np.minimum(max(1, batch // live.size), iters - pos[live])
+        offsets = np.cumsum(counts) - counts
+        chain = np.repeat(live, counts)
+        ahead = np.arange(counts.sum()) - np.repeat(offsets, counts)
+        cand = best_psi[chain] + steps[rejected[chain] + ahead, None] * noise[chain, pos[chain] + ahead]
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         val = values(cand)
-        better = val > best
-        best = np.where(better, val, best)
-        best_psi[better] = cand[better]
-        step = np.where(better, step, step * 0.7)
+        for c, lo, n in zip(live, offsets, counts):
+            hits = np.flatnonzero(val[lo:lo + n] > best[c])
+            if hits.size:  # rejects up to its first better step, accepts that
+                n = hits[0]
+                best[c], best_psi[c] = val[lo + n], cand[lo + n]
+                pos[c] += 1
+            pos[c] += n
+            rejected[c] += n
     return best
 
 
@@ -276,12 +302,14 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     consecutive normals (z_i, w_i) of its stream, drawn and evaluated
     _chunk_size(channel) states per call, so the states do not depend on
     the chunk size and the n states of an n-sample run are the first n of
-    any longer run.  The other five seed the lockstep refinement chains
-    of the five best states (ties in sample order), one child per rank;
-    their scores go along, so refinement makes exactly one values() call
-    per step.  Only the running maximum and the five best outlive a
-    chunk, so memory does not grow with samples.  values maps amplitudes
-    (B, d) to B values."""
+    any longer run.  The other five seed the refinement chains of the
+    five best states (ties in sample order), one child per rank; their
+    scores go along, and refinement scores the chains' steps ahead in
+    calls of at most max(chunk, 5) states (fewer where a chunk exceeds
+    _CHUNK_BYTES), so no values() call of a run holds more states than a
+    chunk and its five chains.  Only the running maximum and the five
+    best outlive a chunk, so memory does not grow with samples.  values
+    maps amplitudes (B, d) to B values."""
     if samples <= 0:
         return 0.0
     d, chunk_size = channel.d, _chunk_size(channel)
@@ -301,7 +329,13 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
         top_scores = np.concatenate([top_scores, scores])
         keep = np.argsort(-top_scores, kind="stable")[:5]
         top_states, top_scores = top_states[keep], top_scores[keep]
-    refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)])
+    # Refinement scores ahead only within the byte budget.  Past it a
+    # call's fixed cost is small beside its work, and bigger temporaries
+    # are paged in afresh on every call: at (3, 1, 20), 15-state calls
+    # took 16 times the page faults of 5-state ones and 15% more time per
+    # state, so such channels refine in lockstep, 5 states per call.
+    batch = min(chunk_size, _states_in_budget(channel))
+    refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)], batch=batch)
     return float(max(0.0, best, refined.max()))
 
 
@@ -312,7 +346,10 @@ def delta_all_numeric(
 
     Covariance of the optimal cloner makes the objective state
     independent, so sampling is confirmation rather than search; the top
-    candidates are still refined locally.  Seeded as _sampled_supremum
+    candidates are still refined locally.  Few refinement steps are then
+    accepted (round-off decides them), so scoring each chain's steps
+    ahead makes refinement a few values() calls rather than one per step,
+    e.g. 2 instead of 20 at a 64-state chunk.  Seeded as _sampled_supremum
     describes: one SeedSequence(seed) per call, so the value does not
     depend on the Python version or on the chunk size, and the states of
     a run are the first of any longer run.

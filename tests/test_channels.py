@@ -1,4 +1,5 @@
 """CP-map machinery: Choi, twirl, dilation, covariance, direct omega."""
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -324,33 +325,67 @@ def reference_delta_one(channel, samples, seed):
     return best
 
 
-def test_lockstep_refinement_equals_sequential_chains():
-    def value(psi):
-        # non-constant, with both accepted and rejected steps
-        return float(np.abs(psi[0]) ** 2 - 0.5 * np.abs(psi[1]) ** 2 + 0.3 * psi[2].real)
+def records(values):
+    """Accepted steps of a chain from the values it was given in order:
+    the start's, then one per step, each accepted iff it beats all before."""
+    return sum(v > max(values[:i]) for i, v in enumerate(values) if i)
 
+
+REFINE_OBJECTIVES = {
+    # non-constant, with both accepted and rejected steps
+    "mixed": lambda psi: float(np.abs(psi[0]) ** 2 - 0.5 * np.abs(psi[1]) ** 2 + 0.3 * psi[2].real),
+    # never accepts a step
+    "constant": lambda psi: 0.25,
+    # linear in the amplitudes, so from Haar starts most steps climb
+    "climbing": lambda psi: float(psi[0].real),
+}
+
+
+def test_lockstep_refinement_equals_sequential_chains():
+    # batch 5 is the lockstep loop; every batch takes the sequential steps
     starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
     seeds = [40 + rank for rank in range(5)]
-    scores = np.array([value(p) for p in starts])
-    lockstep = refine_supremum(lambda batch: np.array([value(p) for p in batch]), starts, scores, seeds)
-    sequential = [sequential_refine(value, psi, seed) for psi, seed in zip(starts, seeds)]
-    assert lockstep.tolist() == sequential
-    assert len(set(sequential)) == 5
+    for (objective, value), iters, batch in itertools.product(
+            REFINE_OBJECTIVES.items(), [0, 1, 20], [1, 5, 16, 64]):
+        case = (objective, iters, batch)
+        scores = np.array([value(p) for p in starts])
+        ahead = refine_supremum(lambda rows: np.array([value(p) for p in rows]),
+                                starts, scores, seeds, iters=iters, batch=batch)
+        seen = [[] for _ in seeds]
+
+        def logged(rank):
+            return lambda psi: seen[rank].append(value(psi)) or seen[rank][-1]
+
+        sequential = [sequential_refine(logged(rank), psi, seed, iters=iters)
+                      for rank, (psi, seed) in enumerate(zip(starts, seeds))]
+        assert ahead.tolist() == sequential, case
+        accepted = sum(records(chain) for chain in seen)
+        if objective == "constant":
+            assert accepted == 0, case
+        if objective == "climbing":
+            assert 3 * accepted >= 5 * iters, case
+        if objective == "mixed" and iters == 20:
+            assert len(set(sequential)) == 5 and 0 < accepted < 5 * iters, case
 
 
 @pytest.mark.parametrize("iters", [0, 1, 20])
-def test_refinement_makes_one_call_per_step(iters):
-    calls = []
-
-    def values(batch):
-        calls.append(len(batch))
-        return -np.abs(batch[:, 0]) ** 2
-
+def test_refinement_calls_are_few_and_bounded(iters):
     starts = np.array([haar_state(3, seed=s).amplitudes for s in range(5)])
-    scores = -np.abs(starts[:, 0]) ** 2
-    best = refine_supremum(values, starts, scores, list(range(5)), iters=iters)
-    assert calls == [5] * iters
-    assert np.all(best >= scores)
+    for (objective, value), batch in itertools.product(REFINE_OBJECTIVES.items(), [1, 5, 16, 64]):
+        case = (objective, batch)
+        calls = []
+
+        def values(rows):
+            calls.append(len(rows))
+            return np.array([value(p) for p in rows])
+
+        scores = np.array([value(p) for p in starts])
+        best = refine_supremum(values, starts, scores, list(range(5)), iters=iters, batch=batch)
+        assert len(calls) <= iters, case
+        assert max(calls, default=0) <= max(batch, 5), case
+        assert np.all(best >= scores), case
+        if objective == "constant":
+            assert len(calls) == math.ceil(iters / max(1, batch // 5)), case
 
 
 @pytest.mark.parametrize("labels,N,M", [
@@ -408,6 +443,19 @@ def test_sampled_values_pinned(kind, d, N, M, seed, value):
     assert abs(got - value) < 1e-12
 
 
+# The constant-output channel at the default 2000 samples, where refinement
+# accepts often, pinned to the last digit before refinement scored each
+# chain's steps ahead.
+@pytest.mark.parametrize("d,seed,value", [
+    (2, 0, "0.9999995958566024"),
+    (2, 12345, "0.9999999424827574"),
+    (3, 0, "0.9999985749797062"),
+    (3, 12345, "0.9999997508955759"),
+])
+def test_constant_channel_default_samples_pinned(d, seed, value):
+    assert repr(delta_one_numeric(constant_output_channel(d, 1, 2), seed=seed)) == value
+
+
 def test_sampled_value_does_not_depend_on_chunk(monkeypatch):
     # not covariant: the value depends on every sampled state
     channel = constant_output_channel(3, 1, 2)
@@ -425,7 +473,7 @@ def test_sampled_value_does_not_depend_on_chunk(monkeypatch):
 
 def test_sampled_states_are_a_prefix_of_longer_runs(monkeypatch):
     monkeypatch.setattr(cloner, "refine_supremum",
-                        lambda values, starts, scores, seeds: np.zeros(len(starts)))
+                        lambda values, starts, scores, seeds, batch: np.zeros(len(starts)))
 
     def drawn(samples):
         seen = []

@@ -140,6 +140,21 @@ def test_byte_identical_reproducibility():
     assert first == second
 
 
+# stdout at the default 2000 samples, pinned before refinement scored
+# each chain's steps ahead; the accept decisions are unchanged by it
+@pytest.mark.parametrize("d,n,m,seed,estimate", [
+    (2, 1, 2, 0, "0.16666666666666685"),
+    (3, 2, 4, 3, "0.2000000000000003"),
+    (4, 1, 4, 11, "0.4500000000000006"),
+    (2, 3, 7, 1, "0.11428571428571453"),
+])
+def test_delta_one_stdout_pinned(d, n, m, seed, estimate):
+    code, out = capture(["channel", "delta-one", "--d", str(d), "--n", str(n),
+                         "--m", str(m), "--seed", str(seed)])
+    assert code == 0
+    assert out == f'{{"estimate": {estimate}, "samples": 2000, "seed": {seed}}}\n'
+
+
 def test_exit_codes():
     # usage: missing required flag
     code, _ = capture(["cloner", "constants", "--d", "2", "--n", "1"])

@@ -15,6 +15,7 @@ from cloneopt import (
     choi,
     delta_all_numeric,
     delta_one_closed_form,
+    delta_one_numeric,
     dense_cloner_output,
     haar_state,
     optimal_cloner,
@@ -260,3 +261,29 @@ def test_sampler_chunk_fits_the_byte_budget(d, N, M):
         assert chunk == 64
     if (d, N, M) in [(8, 1, 4), (4, 5, 9)]:
         assert chunk == 16
+
+
+@pytest.mark.parametrize("d,N,M", DESK_GRID + [(8, 1, 4), (4, 5, 9)])
+def test_sampler_calls_hold_at_most_a_chunk(d, N, M, monkeypatch):
+    # each values() call of the sampled suprema applies the channel once
+    channel = optimal_cloner(ClonerSpec(d, N, M))
+    chunk = cloner._chunk_size(channel)
+    apply_fast = cloner.Channel.apply_fast
+    sizes = []
+
+    def counting(self, v):
+        sizes.append(len(v))
+        return apply_fast(self, v)
+
+    monkeypatch.setattr(cloner.Channel, "apply_fast", counting)
+    # a full chunk and five chains; then one chain, which scores the most
+    # steps ahead per call where the byte budget allows it, and keeps
+    # delta_all cheap at d = 8
+    delta_one_numeric(channel, samples=chunk, seed=2)
+    # refinement scores ahead only within the byte budget; past it the
+    # chains go in lockstep, 5 states per call
+    assert max(sizes[1:]) <= max(min(chunk, cloner._states_in_budget(channel)), 5)
+    delta_all_numeric(ClonerSpec(d, N, M), samples=1, seed=2)
+    assert max(sizes) == max(chunk, 5)
+    # sampling makes one call per run, refinement at most 20
+    assert len(sizes) <= 2 * (1 + 20)
