@@ -10,7 +10,7 @@ angular-momentum coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -145,14 +145,7 @@ def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None)
         u_out = symmetric_rep(u, channel.m_out)
     else:
         u_out = kron_power(u, channel.m_out, guard)
-    return Channel(
-        kraus=list(u_out.conj().T @ np.stack(channel.kraus) @ u_in),
-        d=channel.d,
-        n_in=channel.n_in,
-        m_out=channel.m_out,
-        basis_in=channel.basis_in,
-        basis_out=channel.basis_out,
-    )
+    return replace(channel, kraus=u_out.conj().T @ channel.kraus @ u_in)
 
 
 def check_choi_guard(channel: Channel, guard: int | None = None) -> int:
@@ -172,8 +165,7 @@ def choi_factor(channel: Channel) -> np.ndarray:
     """X = [vec K_r], of shape (in_dim * out_dim, R), with choi = X X^*.
 
     Column r is K_r^T flattened, indexed (input, output) like choi."""
-    stacked = np.stack(channel.kraus)  # (R, out, in)
-    return stacked.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
+    return channel.kraus.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
 
 
 def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
@@ -221,15 +213,14 @@ def choi_trace_out_output(channel: Channel) -> np.ndarray:
 
 def choi_to_kraus(
     C: np.ndarray, in_dim: int, out_dim: int, cutoff: float = 1e-12
-) -> list[np.ndarray]:
-    """Kraus operators from a (nearly) PSD Choi matrix; eigenvalues below
-    the cutoff are dropped."""
+) -> np.ndarray:
+    """Kraus stack (R, out_dim, in_dim) from a (nearly) PSD Choi matrix:
+    K_r = sqrt(lambda_r) v_r, read as (input, output), for the R
+    eigenpairs above the cutoff; eigenvalues below it are dropped."""
     vals, vecs = np.linalg.eigh(C)
-    kraus = []
-    for val, vec in zip(vals, vecs.T):
-        if val > cutoff:
-            kraus.append(math.sqrt(val) * vec.reshape(in_dim, out_dim).T)
-    return kraus
+    keep = vals > cutoff
+    kept = (np.sqrt(vals[keep]) * vecs[:, keep]).T
+    return kept.reshape(-1, in_dim, out_dim).transpose(0, 2, 1)
 
 
 def twirl_choi(
@@ -256,14 +247,7 @@ def twirl(
     DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
     acc = twirl_choi(channel, cfg, guard)
-    return Channel(
-        kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim),
-        d=channel.d,
-        n_in=channel.n_in,
-        m_out=channel.m_out,
-        basis_in=channel.basis_in,
-        basis_out=channel.basis_out,
-    )
+    return replace(channel, kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim))
 
 
 def stinespring(channel: Channel, tol: float = STRUCTURAL_TOL) -> np.ndarray:
@@ -274,9 +258,7 @@ def stinespring(channel: Channel, tol: float = STRUCTURAL_TOL) -> np.ndarray:
         raise ChannelPropertyError(
             f"channel is not trace preserving (defect {defect:.2e})"
         )
-    stacked = np.stack(channel.kraus)  # (R, out, in)
-    R, out_dim, in_dim = stacked.shape
-    return stacked.transpose(1, 0, 2).reshape(out_dim * R, in_dim)
+    return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.in_dim)
 
 
 def dilation_trace(V: np.ndarray, rho: np.ndarray, out_dim: int) -> np.ndarray:
@@ -441,7 +423,7 @@ def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
         nxt = lower(cols[-1]) / math.sqrt(float((alpha + m) * (alpha - m + 1)))
         cols.append(nxt)
         m -= 1
-    return np.stack(cols, axis=1)
+    return np.column_stack(cols)
 
 
 def su2_coupling_isometry(
@@ -483,7 +465,7 @@ def su2_coupling_isometry(
         nxt = lower_tot @ cols[-1] / math.sqrt(float((gamma + m) * (gamma - m + 1)))
         cols.append(nxt)
         m -= 1
-    return np.stack(cols, axis=1)
+    return np.column_stack(cols)
 
 
 def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
@@ -505,9 +487,8 @@ def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
     V = su2_coupling_isometry(alpha, beta, gamma)
     da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma) + 1
     V3 = V.reshape(da, db, dg)
-    kraus = [W @ V3[:, b, :] for b in range(db)]
     return Channel(
-        kraus=kraus,
+        kraus=W @ V3.transpose(1, 0, 2),
         d=2,
         n_in=N,
         m_out=M,
@@ -520,10 +501,6 @@ def constant_output_channel(d: int, N: int, M: int) -> Channel:
     """Channel mapping every input to the first occupation basis state of
     the output; a deliberately non-covariant test subject."""
     in_dim = sym_dimension(d, N)
-    out_dim = sym_dimension(d, M)
-    kraus = []
-    for r in range(in_dim):
-        K = np.zeros((out_dim, in_dim), dtype=complex)
-        K[0, r] = 1.0
-        kraus.append(K)
+    kraus = np.zeros((in_dim, sym_dimension(d, M), in_dim), dtype=complex)
+    kraus[np.arange(in_dim), 0, np.arange(in_dim)] = 1.0
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)

@@ -57,17 +57,19 @@ def _parse_state(text: str, d: int) -> tc.PureState:
     return tc.PureState(amps / norm)
 
 
-def _default_state(d: int, seed: int | None) -> tc.PureState:
-    if seed is None:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0
-        return tc.PureState(amps)
-    return tc.haar_state(d, seed)
+def _input_state(args) -> tc.PureState:
+    """The --state amplitudes, or else the Haar state of --seed."""
+    if args.state:
+        return _parse_state(args.state, args.d)
+    return tc.haar_state(args.d, args.seed)
 
 
 def _check_ranges(args) -> None:
-    if getattr(args, "d", None) is not None and not 2 <= args.d <= 8:
-        raise UsageError(f"d must be in [2, 8], got {args.d}")
+    # a weight has d components; counted before any of them is parsed
+    weight = getattr(args, "weight", None)
+    d = len(weight.split(",")) if weight is not None else getattr(args, "d", None)
+    if d is not None and not 2 <= d <= 8:
+        raise UsageError(f"d must be in [2, 8], got {d}")
     n = getattr(args, "n", None)
     if n is not None and not 0 <= n <= 64:
         raise UsageError(f"N must be in [0, 64], got {n}")
@@ -126,12 +128,8 @@ def _cmd_cloner_constants(args):
 
 def _cmd_cloner_apply(args):
     spec = _cloner_spec(args)
-    psi = (
-        _parse_state(args.state, args.d)
-        if args.state
-        else _default_state(args.d, args.seed)
-    )
-    channel = cl.optimal_cloner(spec)
+    psi = _input_state(args)
+    channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before any state is built
     v = tc.product_power(psi, args.n)
     rho_out = channel.apply_fast(v)
     if args.guard is not None:
@@ -150,25 +148,13 @@ def _cmd_cloner_apply(args):
 
 
 def _cmd_cloner_marginal(args):
-    spec = _cloner_spec(args)
-    psi = (
-        _parse_state(args.state, args.d)
-        if args.state
-        else _default_state(args.d, args.seed)
-    )
-    marg = cl.single_clone_marginal(spec, psi)
+    marg = cl.single_clone_marginal(_cloner_spec(args), _input_state(args))
     return {"d": args.d, "n": args.n, "m": args.m, "marginal": se.matrix_to_json(marg)}
 
 
 def _cmd_cloner_overlap(args):
-    spec = _cloner_spec(args)
-    psi = (
-        _parse_state(args.state, args.d)
-        if args.state
-        else _default_state(args.d, args.seed)
-    )
     return {
-        "overlap": cl.all_clone_overlap(spec, psi),
+        "overlap": cl.all_clone_overlap(_cloner_spec(args), _input_state(args)),
         "expected": se.fraction_pair(
             Fraction(tc.sym_dimension(args.d, args.n), tc.sym_dimension(args.d, args.m))
         ),
@@ -333,15 +319,17 @@ def _cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, need_m=True, samples_default=None):
+def _add_common(p, need_m=True, seed=False, samples_default=None, guard=False):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     if need_m:
         p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     if samples_default is not None:
         p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--guard", type=int, default=None)
+    if guard:
+        p.add_argument("--guard", type=int, default=None)
     p.add_argument("--format", choices=["json", "table"], default="json")
 
 
@@ -358,14 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cloner", help="optimal cloner construction and constants")
     subc = pc.add_subparsers(dest="subcommand", required=True)
-    for name, handler, has_state in [
-        ("constants", _cmd_cloner_constants, False),
-        ("apply", _cmd_cloner_apply, True),
-        ("marginal", _cmd_cloner_marginal, True),
-        ("overlap", _cmd_cloner_overlap, True),
+    for name, handler, has_state, guard in [
+        ("constants", _cmd_cloner_constants, False, False),
+        ("apply", _cmd_cloner_apply, True, True),
+        ("marginal", _cmd_cloner_marginal, True, False),
+        ("overlap", _cmd_cloner_overlap, True, False),
     ]:
         p = subc.add_parser(name)
-        _add_common(p)
+        # --seed draws the input state when --state is absent
+        _add_common(p, seed=has_state, guard=guard)
         if has_state:
             p.add_argument("--state", type=str, default=None,
                            help="inline JSON amplitudes or a file path")
@@ -412,20 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     pch = sub.add_parser("channel", help="channel-level diagnostics of the optimal cloner")
     subch = pch.add_subparsers(dest="subcommand", required=True)
-    for name, handler, samples in [
-        ("twirl", _cmd_channel_twirl, 200),
-        ("defect", _cmd_channel_defect, 50),
-        ("omega", _cmd_channel_omega, None),
-        ("delta-one", _cmd_channel_delta_one, 2000),
+    # channel omega reads no seed; it keeps --seed, which perfbench passes to every channel command
+    for name, handler, samples, guard in [
+        ("twirl", _cmd_channel_twirl, 200, True),
+        ("defect", _cmd_channel_defect, 50, True),
+        ("omega", _cmd_channel_omega, None, False),
+        ("delta-one", _cmd_channel_delta_one, 2000, False),
     ]:
         p = subch.add_parser(name)
-        _add_common(p, samples_default=samples)
+        _add_common(p, seed=True, samples_default=samples, guard=guard)
         p.set_defaults(handler=handler)
 
     pv = sub.add_parser("verify", help="run the invariant suite")
     subv = pv.add_subparsers(dest="subcommand", required=True)
     p = subv.add_parser("all")
-    _add_common(p)
+    _add_common(p, seed=True, guard=True)
     p.set_defaults(handler=_cmd_verify_all)
 
     return parser

@@ -8,7 +8,7 @@ full-tensor construction is kept as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -65,25 +65,35 @@ class ClonerSpec:
 class Channel:
     """Completely positive trace-preserving map in Kraus form.
 
-    Each Kraus operator is out_dim x in_dim.  Basis tags name the input
-    and output bases (symmetric-occupation or full-tensor); dims carry
-    (d, N, M).
+    kraus is one C-contiguous complex array of shape (R, out_dim, in_dim),
+    operator r at kraus[r]; a sequence of equal-shape matrices is stacked
+    into it once, on construction, and ragged, empty or non-3-D input
+    raises ValueError.  Basis tags name the input and output bases
+    (symmetric-occupation or full-tensor); dims carry (d, N, M).
     """
 
-    kraus: list[np.ndarray]
+    kraus: np.ndarray
     d: int
     n_in: int
     m_out: int
     basis_in: str = SYMMETRIC_BASIS
     basis_out: str = SYMMETRIC_BASIS
 
+    def __post_init__(self):
+        self.kraus = np.ascontiguousarray(self.kraus, dtype=complex)  # ragged: ValueError
+        if self.kraus.ndim != 3 or self.kraus.shape[0] == 0:
+            raise ValueError(
+                "Kraus operators must form a non-empty (R, out_dim, in_dim) stack, "
+                f"got shape {self.kraus.shape}"
+            )
+
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """State map: sum_r K_r rho K_r^*, broadcast over leading axes of rho."""
@@ -96,11 +106,11 @@ class Channel:
     def apply_fast(self, v: np.ndarray) -> np.ndarray:
         """State map on pure inputs: sum_r (K_r v)(K_r v)^*, which equals
         apply(v v^*), for vectors v of shape (..., in_dim).  One product
-        with the stacked (R*out_dim, in_dim) Kraus operators gives every
+        with the Kraus stack viewed as (R*out_dim, in_dim) gives every
         K_r v, so the work per state is R(out*in + out^2) multiply-adds
         instead of R(out*in^2 + out^2*in)."""
         v = np.asarray(v, dtype=complex)
-        w = v @ np.concatenate(self.kraus).T
+        w = v @ self.kraus.reshape(-1, self.in_dim).T
         w = w.reshape(v.shape[:-1] + (len(self.kraus), self.out_dim))
         return np.swapaxes(w, -1, -2) @ w.conj()
 
@@ -113,12 +123,11 @@ class Channel:
         return out
 
     def completeness_defect(self) -> float:
-        """Operator-norm distance of sum K^*K from the identity."""
-        acc = np.zeros((self.in_dim, self.in_dim), dtype=complex)
-        for K in self.kraus:
-            acc += K.conj().T @ K
+        """Operator-norm distance of sum K^*K = F^*F from the identity,
+        F the Kraus stack viewed as (R*out_dim, in_dim)."""
+        F = self.kraus.reshape(-1, self.in_dim)
         return float(
-            np.max(np.abs(np.linalg.eigvalsh(acc - np.eye(self.in_dim))))
+            np.max(np.abs(np.linalg.eigvalsh(F.conj().T @ F - np.eye(self.in_dim))))
         )
 
     def to_full_output(self, guard: int | None = None) -> "Channel":
@@ -126,14 +135,7 @@ class Channel:
         if self.basis_out == FULL_BASIS:
             return self
         E = sym_embed(self.d, self.m_out, guard)
-        return Channel(
-            kraus=[E @ K for K in self.kraus],
-            d=self.d,
-            n_in=self.n_in,
-            m_out=self.m_out,
-            basis_in=self.basis_in,
-            basis_out=FULL_BASIS,
-        )
+        return replace(self, kraus=E @ self.kraus, basis_out=FULL_BASIS)
 
 
 def optimal_cloner(spec: ClonerSpec) -> Channel:
@@ -148,7 +150,8 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     """
     d, N, M = spec.d, spec.n_in, spec.m_out
     dim_n, dim_m = sym_dimension(d, N), sym_dimension(d, M)
-    entries = sym_dimension(d, M - N) * dim_m * dim_n
+    count = sym_dimension(d, M - N)
+    entries = count * dim_m * dim_n
     if entries > KRAUS_ENTRY_GUARD:
         raise DimensionGuardError(
             f"optimal cloner for (d, N, M) = ({d}, {N}, {M}) needs {entries} "
@@ -158,13 +161,11 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     index_m = occupation_index(d, M)
     # squared entry: (d[N]/d[M]) prod_i binom(m_i, n_i) / binom(M, N)
     coeff = dim_n / (dim_m * math.comb(M, N))
-    kraus = []
-    for c in occupation_basis(d, M - N):
-        K = np.zeros((dim_m, dim_n), dtype=complex)
+    kraus = np.zeros((count, dim_m, dim_n), dtype=complex)
+    for K, c in zip(kraus, occupation_basis(d, M - N)):
         for col, n in enumerate(basis_n):
             m = tuple(a + b for a, b in zip(n, c))
             K[index_m[m], col] = math.sqrt(coeff * math.prod(map(math.comb, m, n)))
-        kraus.append(K)
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
 

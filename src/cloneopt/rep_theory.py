@@ -8,6 +8,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+
+from .errors import DimensionGuardError
+from .tolerances import BRANCH_SUMMAND_GUARD
 
 __all__ = [
     "is_dominant",
@@ -16,6 +20,7 @@ __all__ = [
     "normalized_conjugate",
     "casimirs",
     "weyl_dimension",
+    "pieri_count",
     "pieri_branch",
     "contains_sym",
     "fund_power_multiplicity",
@@ -87,29 +92,51 @@ def weyl_dimension(m: tuple[int, ...]) -> int:
     return dim
 
 
+def pieri_count(N: int, m: tuple[int, ...]) -> int:
+    """Number of summands pieri_branch(N, m) returns, counted without
+    listing them: the (mu_2, ..., mu_d) with mu_{k+1} <= m_k - m_{k+1}
+    and sum at most N (mu_1 takes the rest), one slot at a time over
+    the sums 0..N."""
+    m = check_dominant(m)
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    ways = [1] + [0] * N  # ways[s]: choices of the slots so far with sum s
+    for k in range(1, len(m)):
+        cap = m[k - 1] - m[k]
+        prefix = list(accumulate(ways, initial=0))
+        ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(N + 1)]
+    return sum(ways)
+
+
 def pieri_branch(N: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Irreducible summands of (N-fold symmetric power) x pi_m.
 
     Returns all m + mu with sum(mu) = N, mu_k >= 0, and
     mu_{k+1} <= m_k - m_{k+1} for k < d (mu_1 bounded only by the sum).
-    Each summand appears exactly once and is dominant.
+    Each summand appears exactly once and is dominant.  Raises
+    DimensionGuardError, before listing any, when there are more than
+    BRANCH_SUMMAND_GUARD.
     """
+    count = pieri_count(N, m)
+    if count > BRANCH_SUMMAND_GUARD:
+        raise DimensionGuardError(
+            f"Pieri branching of {N} boxes onto {tuple(m)} has {count} summands, "
+            f"above the guard {BRANCH_SUMMAND_GUARD}"
+        )
     m = check_dominant(m)
-    if N < 0:
-        raise ValueError("N must be non-negative")
     d = len(m)
+    caps = [N] + [m[k - 1] - m[k] for k in range(1, d)]
+    # room[k]: the most that slots k, ..., d-1 can take together; a slot
+    # leaving more than that to the later ones starts no summand
+    room = list(accumulate(reversed(caps), initial=0))[::-1]
 
     out: list[tuple[int, ...]] = []
 
     def _extend(k: int, remaining: int, mu: tuple[int, ...]):
         if k == d:
-            if remaining == 0:
-                out.append(tuple(m[i] + mu[i] for i in range(d)))
+            out.append(tuple(m[i] + mu[i] for i in range(d)))
             return
-        if k == 0:
-            lo, hi = 0, remaining
-        else:
-            lo, hi = 0, min(remaining, m[k - 1] - m[k])
+        lo, hi = max(0, remaining - room[k + 1]), min(remaining, caps[k])
         for x in range(hi, lo - 1, -1):
             _extend(k + 1, remaining - x, mu + (x,))
 

@@ -72,12 +72,15 @@ def test_choi_cp_tp_checks():
 
 def test_choi_kraus_roundtrip():
     channel = optimal_cloner(ClonerSpec(2, 2, 3))
-    rebuilt = Channel(
-        kraus=choi_to_kraus(choi(channel), channel.in_dim, channel.out_dim),
-        d=2,
-        n_in=2,
-        m_out=3,
-    )
+    C = choi(channel)
+    kraus = choi_to_kraus(C, channel.in_dim, channel.out_dim)
+    # oracle: one operator per eigenvector above the cutoff, in eigh order
+    vals, vecs = np.linalg.eigh(C)
+    loop = [math.sqrt(val) * vec.reshape(channel.in_dim, channel.out_dim).T
+            for val, vec in zip(vals, vecs.T) if val > 1e-12]
+    assert kraus.shape == (len(loop), channel.out_dim, channel.in_dim)
+    assert np.array_equal(kraus, np.stack(loop))
+    rebuilt = Channel(kraus=kraus, d=2, n_in=2, m_out=3)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = z @ z.conj().T

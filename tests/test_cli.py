@@ -1,15 +1,25 @@
 """CLI surface: subcommands, JSON schema, exit codes, reproducibility."""
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloneopt import Channel, ClonerSpec, maximize_brute, optimal_cloner
+from cloneopt import (
+    Channel,
+    ClonerSpec,
+    SU2Labels,
+    maximize_brute,
+    optimal_cloner,
+    su2_component_cloner,
+)
+from cloneopt.channels import constant_output_channel
 from cloneopt.cli import run
 from cloneopt.serialize import (
     channel_from_json,
@@ -130,6 +140,41 @@ def test_verify_all():
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["failures"] == []
+
+
+# sha256 of stdout, recorded before Channel stored its Kraus operators as
+# one stack.  channel defect|twirl are left out: their round-off-level
+# estimates differ between one and two BLAS threads at some sizes.
+@pytest.mark.parametrize("argv,digest", [
+    ("verify all --d 2 --n 1 --m 3",
+     "8a2a3cfcda9f80934ef1b3d9c0d2e3fd6729533adbd87e6a3316f1cc9f3d99ef"),
+    ("verify all --d 3 --n 2 --m 4",
+     "951328844fef608fb256aab25cc83d575cc35638fd9d9a795ea1e0d78abd24a0"),
+    ("channel omega --d 2 --n 1 --m 3",
+     "32650c5fd20458ad4f275d2fe3b6a6ca6750c0f846f503e653e92b5a91ea4064"),
+    ("channel omega --d 3 --n 2 --m 4",
+     "c629692141bfdc41f6c2c21c370f3f8804820e42daa5de05c82a1b8d9a14bb8c"),
+    ("channel delta-one --samples 200 --d 2 --n 1 --m 3",
+     "b9ad84f6d7b471509b40c256da868ae8c4ffe9aed5e1320bbcf2e0978b5a8d2c"),
+    ("channel delta-one --samples 200 --d 3 --n 2 --m 4",
+     "5e3e8b4be1c77439f8a3d3faf4cf2c08bfc236f8e9bc376357604019f2a7a29f"),
+    ("cloner apply --d 2 --n 1 --m 3",
+     "995c29f1ee45497edb0983db464a96874d582a4bf468d3799f305a9f974ff821"),
+    ("cloner apply --d 3 --n 2 --m 4",
+     "3bddac62375ef65ce566feabd740f661b46739bdc18731b75006d3d51774daa6"),
+    ("cloner marginal --d 2 --n 1 --m 3",
+     "0850259471d5f1b3c9b253597f3acfea66fadc1b00b17ba03331f5029b0a661a"),
+    ("cloner marginal --d 3 --n 2 --m 4",
+     "9c32d0cfc019e6b0b222cc0411514dd2115ed200893f5806f813d18f03ed9b69"),
+    ("cloner overlap --d 2 --n 1 --m 3",
+     "5f0928b624e4ed1e482921a9ea215eebb21432d7a10bda1d734133da774a67f8"),
+    ("cloner overlap --d 3 --n 2 --m 4",
+     "4266ba2db766005ed6718e5ef421f527d109075013d6bf9a0fb460e9ad2def62"),
+])
+def test_stdout_digest_pinned(argv, digest):
+    code, out = capture(argv.split() + ["--seed", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_byte_identical_reproducibility():
@@ -299,6 +344,42 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["dims"], "--guard"), (["dims"], "--seed"),
+    (["cloner", "constants", "--m", "2"], "--guard"),
+    (["cloner", "constants", "--m", "2"], "--seed"),
+    (["cloner", "marginal", "--m", "2"], "--guard"),
+    (["cloner", "overlap", "--m", "2"], "--guard"),
+    (["omega", "max", "--m", "2"], "--guard"), (["omega", "max", "--m", "2"], "--seed"),
+    (["channel", "omega", "--m", "2"], "--guard"),
+    (["channel", "delta-one", "--m", "2"], "--guard"),
+])
+def test_flags_a_command_does_not_read_exit_2(argv, flag, capsys):
+    code = run(argv + ["--d", "2", "--n", "1", flag, "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 4" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "point", "--mu", "1,0"], ["rep", "casimir"], ["rep", "branch", "--n", "1"],
+    ["rep", "multiplicity", "--m", "3"],
+])
+def test_weight_of_more_than_8_components_exits_2(argv):
+    # weyl_dimension alone took 6 s on 500 components before this refusal
+    proc = run_child("-m", "cloneopt.cli", *argv, "--weight", ",".join(["0"] * 1000))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: d must be in [2, 8], got 1000\n"
+
+
+@pytest.mark.parametrize("weight", ["64,48,32,16,0", "448,384,320,256,192,128,64,0"])
+def test_rep_branch_edges_answer_or_refuse(weight):
+    # 83,521 and C(71, 7) = 1,329,890,705 summands, both above the guard
+    answer_or_refuse("rep", "branch", "--weight", weight, "--n", 64)
+
+
 @pytest.mark.parametrize("argv", [
     ["channel", "delta-one"], ["channel", "defect"], ["verify", "all"], ["cloner", "apply"],
 ])
@@ -344,11 +425,25 @@ def test_channel_roundtrip():
     assert isinstance(rebuilt, Channel)
     rho = np.diag([0.25, 0.75]).astype(complex)
     assert np.max(np.abs(rebuilt.apply(rho) - channel.apply(rho))) < 1e-12
+    # the stack survives the list of matrices in the JSON exactly
+    for channel in (
+        channel,
+        su2_component_cloner(SU2Labels(Fraction(3, 2), Fraction(1), Fraction(1, 2)), 1, 3),
+        constant_output_channel(3, 1, 2),
+    ):
+        doc = channel_to_json(channel)
+        assert len(doc["kraus"]) == len(channel.kraus) > 0
+        assert np.array_equal(channel_from_json(doc).kraus, channel.kraus)
+
+
+def test_channel_from_json_rejects_ragged_kraus():
+    doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
+    doc["kraus"][1] = matrix_to_json(np.eye(2))
+    with pytest.raises(ValueError):
+        channel_from_json(doc)
 
 
 def test_fraction_pair_lowest_terms():
-    from fractions import Fraction
-
     assert fraction_pair(Fraction(4, 6)) == [2, 3]
 
 

@@ -1,5 +1,6 @@
 """Optimal cloner: fast path vs dense oracle, closed-form constants."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from cloneopt import (
 )
 from cloneopt import cloner
 from cloneopt.channels import constant_output_channel
+from cloneopt.cloner import Channel
 
 DESK_GRID = [
     (2, 1, 2),
@@ -98,7 +100,42 @@ def test_kraus_count_and_shapes():
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID)
 def test_trace_preservation(d, N, M):
-    assert optimal_cloner(ClonerSpec(d, N, M)).completeness_defect() < 1e-10
+    channel = optimal_cloner(ClonerSpec(d, N, M))
+    assert channel.completeness_defect() < 1e-10
+    # off trace preservation, the one product F^*F against the sum of
+    # K_r^* K_r accumulated one operator at a time
+    rng = np.random.default_rng(100 * d + 10 * N + M)
+    scaled = replace(channel, kraus=channel.kraus * rng.uniform(0.5, 1.0, (len(channel.kraus), 1, 1)))
+    acc = np.zeros((channel.in_dim, channel.in_dim), dtype=complex)
+    for K in scaled.kraus:
+        acc += K.conj().T @ K
+    loop = float(np.max(np.abs(np.linalg.eigvalsh(acc - np.eye(channel.in_dim)))))
+    assert loop > 0.1
+    assert abs(scaled.completeness_defect() - loop) < 1e-12
+
+
+def test_kraus_list_is_stacked_once():
+    ops = [np.eye(3, 2), np.ones((3, 2)) / 3, 1j * np.eye(3, 2)[::-1]]
+    from_list = Channel(kraus=ops, d=2, n_in=1, m_out=1)
+    from_stack = Channel(kraus=np.stack(ops).astype(complex), d=2, n_in=1, m_out=1)
+    for channel in (from_list, from_stack):
+        assert channel.kraus.shape == (3, 3, 2) and channel.kraus.dtype == complex
+        assert channel.kraus.flags.c_contiguous
+        assert (channel.out_dim, channel.in_dim) == (3, 2)
+    assert np.array_equal(from_list.kraus, from_stack.kraus)
+    # derived channels share the stored stack rather than copying it
+    assert replace(from_stack, basis_out=FULL_BASIS).kraus is from_stack.kraus
+
+
+@pytest.mark.parametrize("kraus", [
+    [np.eye(2), np.eye(3)],  # ragged
+    [],  # empty
+    np.empty((0, 2, 2)),  # empty stack
+    np.eye(2),  # one matrix, not a stack
+])
+def test_kraus_stack_rejects_malformed_input(kraus):
+    with pytest.raises(ValueError):
+        Channel(kraus=kraus, d=2, n_in=1, m_out=1)
 
 
 def test_apply_broadcasts_over_leading_axes():

@@ -1,4 +1,5 @@
 """Highest-weight arithmetic: conjugation, Casimirs, branching, multiplicities."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from cloneopt import (
     sym_dimension,
     weyl_dimension,
 )
-from cloneopt.rep_theory import is_dominant, normalize_weight
+from cloneopt.errors import DimensionGuardError
+from cloneopt.rep_theory import is_dominant, normalize_weight, pieri_count
+from cloneopt.tolerances import BRANCH_SUMMAND_GUARD
 
 
 dominant_weights = st.integers(2, 4).flatmap(
@@ -82,9 +85,18 @@ def test_pieri_examples():
 @settings(max_examples=60)
 def test_pieri_outputs_dominant_and_distinct(N, m):
     out = pieri_branch(N, m)
+    assert pieri_count(N, m) == len(out)
     assert len(set(out)) == len(out)
     assert all(is_dominant(w) for w in out)
     assert all(sum(w) == sum(m) + N for w in out)
+
+
+def test_pieri_guard_counts_before_listing():
+    # every 7-slot composition of at most 64 fits under these caps
+    assert pieri_count(64, (448, 384, 320, 256, 192, 128, 64, 0)) == math.comb(71, 7)
+    assert pieri_count(64, (64, 48, 32, 16, 0)) == 83521 > BRANCH_SUMMAND_GUARD
+    with pytest.raises(DimensionGuardError):
+        pieri_branch(64, (64, 48, 32, 16, 0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
