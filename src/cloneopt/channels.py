@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloner import Channel, _sampled_supremum
+from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
 from .errors import ChannelPropertyError, DimensionGuardError
 from .tensor_core import (
     FULL_BASIS,
@@ -166,21 +166,6 @@ def choi_factor(channel: Channel) -> np.ndarray:
 
     Column r is K_r^T flattened, indexed (input, output) like choi."""
     return channel.kraus.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
-
-
-def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Ascending spectrum of X X^* - Y Y^* (Y absent: of X X^*).
-
-    [X Y] = QT with T of min(side, k) rows, k = cols(X) + cols(Y), so
-    the spectrum is that of T J T^*, J = diag(1, -1), padded with zeros
-    to the side."""
-    side, k_pos = X.shape
-    A = X if Y is None else np.hstack([X, Y])
-    signs = np.ones(A.shape[1])
-    signs[k_pos:] = -1.0
-    T = np.linalg.qr(A, mode="r")
-    vals = np.linalg.eigvalsh((T * signs) @ T.conj().T)
-    return np.sort(np.concatenate([vals, np.zeros(side - T.shape[0])]))
 
 
 def choi(channel: Channel, guard: int | None = None) -> np.ndarray:

@@ -103,15 +103,20 @@ class Channel:
             out += K @ rho @ K.conj().T
         return out
 
-    def apply_fast(self, v: np.ndarray) -> np.ndarray:
-        """State map on pure inputs: sum_r (K_r v)(K_r v)^*, which equals
-        apply(v v^*), for vectors v of shape (..., in_dim).  One product
-        with the Kraus stack viewed as (R*out_dim, in_dim) gives every
-        K_r v, so the work per state is R(out*in + out^2) multiply-adds
-        instead of R(out*in^2 + out^2*in)."""
+    def kraus_images(self, v: np.ndarray) -> np.ndarray:
+        """The images K_r v, stacked (..., R, out_dim), of vectors v of
+        shape (..., in_dim): one product with the Kraus stack viewed as
+        (R*out_dim, in_dim)."""
         v = np.asarray(v, dtype=complex)
         w = v @ self.kraus.reshape(-1, self.in_dim).T
-        w = w.reshape(v.shape[:-1] + (len(self.kraus), self.out_dim))
+        return w.reshape(v.shape[:-1] + (len(self.kraus), self.out_dim))
+
+    def apply_fast(self, v: np.ndarray) -> np.ndarray:
+        """State map on pure inputs: sum_r (K_r v)(K_r v)^*, which equals
+        apply(v v^*), for vectors v of shape (..., in_dim).  Built on
+        kraus_images, so the work per state is R(out*in + out^2)
+        multiply-adds instead of R(out*in^2 + out^2*in)."""
+        w = self.kraus_images(v)
         return np.swapaxes(w, -1, -2) @ w.conj()
 
     def apply_observable(self, A: np.ndarray) -> np.ndarray:
@@ -219,6 +224,25 @@ def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:
     v_out = product_power(psi, channel.m_out)
     rho_out = channel.apply_fast(product_power(psi, channel.n_in))
     return float(np.real(v_out.conj() @ rho_out @ v_out))
+
+
+def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Ascending spectrum of X X^* - Y Y^* (Y absent: of X X^*), for
+    factors of shape (..., side, k_X) and (..., side, k_Y) with the same
+    leading axes, one spectrum per stacked pair.
+
+    With F = [X Y] and J = diag(1, -1) over its k = k_X + k_Y columns the
+    operator is F J F^*.  When k < side, F = QT with T the (k, k) factor
+    of a QR, and the spectrum is that of T J T^*, padded with zeros to
+    the side; otherwise T = F and F J F^* is solved as it is."""
+    A = X if Y is None else np.concatenate([X, Y], axis=-1)
+    side, k = A.shape[-2:]
+    signs = np.ones(k)
+    signs[X.shape[-1]:] = -1.0
+    T = np.linalg.qr(A, mode="r") if k < side else A
+    vals = np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
+    pad = np.zeros(vals.shape[:-1] + (side - T.shape[-2],))
+    return np.sort(np.concatenate([vals, pad], axis=-1), axis=-1)
 
 
 # Sampled states scored per values() call: at least _CHUNK, raised up to
@@ -345,6 +369,13 @@ def delta_all_numeric(
 ) -> float:
     """Sampled supremum of || T(sigma^N) - sigma^M ||_1 over pure sigma.
 
+    T(sigma^N) - sigma^M = F J F^* with F = [K_1 v, ..., K_R v, v_out]
+    of shape (out_dim, R+1), v = sigma^N and v_out = sigma^M as vectors,
+    and J = diag(1, ..., 1, -1).  So the output state is never formed:
+    the trace norm is read from _factor_eigvalsh of the kraus_images of
+    v against v_out, an eigenproblem of side R+1 after a QR of F where
+    R+1 < out_dim, of side out_dim otherwise (d = 2, N = 1).
+
     Covariance of the optimal cloner makes the objective state
     independent, so sampling is confirmation rather than search; the top
     candidates are still refined locally.  Few refinement steps are then
@@ -358,10 +389,9 @@ def delta_all_numeric(
     channel = optimal_cloner(spec)
 
     def values(amps: np.ndarray) -> np.ndarray:
-        v_in = product_power(amps, spec.n_in)
+        images = channel.kraus_images(product_power(amps, spec.n_in))
         v_out = product_power(amps, spec.m_out)
-        diff = channel.apply_fast(v_in)
-        diff -= v_out[..., :, None] * v_out.conj()[..., None, :]
-        return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+        vals = _factor_eigvalsh(np.swapaxes(images, -1, -2), v_out[..., None])
+        return np.sum(np.abs(vals), axis=-1)
 
     return _sampled_supremum(values, channel, samples, seed)

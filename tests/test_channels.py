@@ -566,9 +566,9 @@ def test_symmetric_rep_survives_close_eigenvalues(d, gap, near_minus_one):
 
 def factor_test_channels():
     # R Kraus operators against the Choi side in_dim * out_dim: with 2R
-    # below the side the QR factor T is tall and thin, with R at or above
-    # it T is wide (side rows), and in between X alone is thin and [X_u X_0]
-    # wide
+    # below the side both X and [X_u X_0] go through a QR, with R at or
+    # above it neither does (T is the factor itself), and in between X
+    # alone does and [X_u X_0] does not
     return [
         optimal_cloner(ClonerSpec(2, 1, 2)),  # R 2, side 6
         optimal_cloner(ClonerSpec(2, 1, 3)),  # R 3, side 8
@@ -583,7 +583,7 @@ def factor_test_channels():
 
 
 @pytest.mark.parametrize("channel", factor_test_channels())
-def test_factor_spectra_match_dense_eigvalsh(channel):
+def test_factor_spectra_match_dense_eigvalsh(channel, monkeypatch):
     C0 = choi(channel)
     assert np.allclose(choi_factor(channel) @ choi_factor(channel).conj().T, C0, atol=1e-14)
     dense = np.linalg.eigvalsh(C0)
@@ -594,6 +594,34 @@ def test_factor_spectra_match_dense_eigvalsh(channel):
     dense_diff = np.linalg.eigvalsh(choi(rotated) - C0)
     fast_diff = _factor_eigvalsh(choi_factor(rotated), choi_factor(channel))
     assert np.max(np.abs(fast_diff - dense_diff)) < 1e-12
+    # stacked factors: leading axes (2, 3), six rotations against the channel
+    rng = np.random.default_rng(4)
+    X = np.array([choi_factor(conjugate_channel(channel, haar_unitary(channel.d, rng)))
+                  for _ in range(6)]).reshape((2, 3) + choi_factor(channel).shape)
+    assert_factor_spectra(X, np.broadcast_to(choi_factor(channel), X.shape))
+    assert_factor_spectra(X)
+    # at least as many columns as rows: no QR is taken
+    R = len(channel.kraus)
+    wide = X[..., :R, :]
+    monkeypatch.setattr(np.linalg, "qr", None)
+    assert_factor_spectra(wide)
+    assert_factor_spectra(wide, np.broadcast_to(choi_factor(channel)[:R], wide.shape))
+
+
+def assert_factor_spectra(X, Y=None):
+    """_factor_eigvalsh on stacked factors: ascending, padded with zeros
+    to the side, and the dense spectrum of each X X^* - Y Y^*."""
+    got = _factor_eigvalsh(X, Y)
+    side = X.shape[-2]
+    k = X.shape[-1] + (0 if Y is None else Y.shape[-1])
+    assert got.shape == X.shape[:-1]
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    assert np.all(np.sum(got == 0.0, axis=-1) >= side - k)
+    for idx in np.ndindex(*X.shape[:-2]):
+        op = X[idx] @ X[idx].conj().T
+        if Y is not None:
+            op -= Y[idx] @ Y[idx].conj().T
+        assert np.max(np.abs(got[idx] - np.linalg.eigvalsh(op))) < 1e-12
 
 
 def test_conjugation_matches_dense_oracle():

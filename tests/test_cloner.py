@@ -164,6 +164,80 @@ def test_apply_broadcasts_over_leading_axes():
             assert np.max(np.abs(fast - dense)) < 1e-13
 
 
+def test_kraus_images_and_apply_fast():
+    rng = np.random.default_rng(9)
+    channels = [optimal_cloner(ClonerSpec(*dims)) for dims in DESK_GRID]
+    channels += [constant_output_channel(3, 2, 3)]
+    for ch in channels:
+        for lead in [(), (5,), (2, 3)]:
+            v = rng.normal(size=lead + (ch.in_dim,)) + 1j * rng.normal(size=lead + (ch.in_dim,))
+            images = ch.kraus_images(v)
+            assert images.shape == lead + (len(ch.kraus), ch.out_dim)
+            for idx in np.ndindex(*lead):
+                loop = np.array([K @ v[idx] for K in ch.kraus])
+                assert np.max(np.abs(images[idx] - loop)) < 1e-13
+            # apply_fast as it was before kraus_images existed
+            w = v @ ch.kraus.reshape(-1, ch.in_dim).T
+            w = w.reshape(v.shape[:-1] + (len(ch.kraus), ch.out_dim))
+            assert np.array_equal(ch.apply_fast(v), np.swapaxes(w, -1, -2) @ w.conj())
+
+
+def dense_delta_all_values(channel, amps):
+    """Oracle: || T(sigma^N) - sigma^M ||_1 from the dense out_dim-side
+    eigenproblem, one per state."""
+    v_in = product_power(amps, channel.n_in)
+    v_out = product_power(amps, channel.m_out)
+    diff = channel.apply_fast(v_in)
+    diff -= v_out[..., :, None] * v_out.conj()[..., None, :]
+    return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
+def delta_all_values(spec, monkeypatch):
+    """The values() that delta_all_numeric hands to the sampler."""
+    captured = []
+    monkeypatch.setattr(cloner, "_sampled_supremum", lambda values, *rest: captured.append(values))
+    delta_all_numeric(spec)
+    return captured[0]
+
+
+# every delta_all size of the sampled-supremum benchmark deck, a d = 8
+# channel, and d = 2, N = 1, where R + 1 = out_dim and no QR is taken
+DELTA_ALL_SIZES = [
+    (2, 1, 3), (2, 3, 4), (2, 1, 5), (2, 3, 5), (3, 1, 2), (3, 2, 3), (3, 2, 4),
+    (3, 1, 5), (3, 3, 5), (4, 1, 3), (4, 1, 4), (4, 1, 5), (8, 1, 4), (2, 1, 2),
+]
+
+
+@pytest.mark.parametrize("d,N,M", DELTA_ALL_SIZES)
+def test_delta_all_factor_route_matches_dense_oracle(d, N, M, monkeypatch):
+    spec = ClonerSpec(d, N, M)
+    values = delta_all_values(spec, monkeypatch)
+    rng = np.random.default_rng(10)
+    amps = rng.normal(size=(20, d)) + 1j * rng.normal(size=(20, d))
+    amps = np.vstack([amps, np.eye(d)])
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    got = values(amps)
+    assert got.shape == (len(amps),)
+    assert np.max(np.abs(got - dense_delta_all_values(optimal_cloner(spec), amps))) < 1e-12
+
+
+def test_delta_all_solves_eigenproblems_of_side_r_plus_one(monkeypatch):
+    spec = ClonerSpec(4, 1, 5)
+    channel = optimal_cloner(spec)
+    assert (len(channel.kraus), channel.out_dim) == (35, 56)
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    delta_all_numeric(spec, samples=20, seed=3)
+    assert shapes
+    assert all(shape[-2:] == (36, 36) for shape in shapes)
+
+
 def test_identity_limit():
     spec = ClonerSpec(2, 2, 2)
     channel = optimal_cloner(spec)
@@ -302,17 +376,17 @@ def test_sampler_chunk_fits_the_byte_budget(d, N, M):
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID + [(8, 1, 4), (4, 5, 9)])
 def test_sampler_calls_hold_at_most_a_chunk(d, N, M, monkeypatch):
-    # each values() call of the sampled suprema applies the channel once
+    # each values() call of the sampled suprema forms the Kraus images once
     channel = optimal_cloner(ClonerSpec(d, N, M))
     chunk = cloner._chunk_size(channel)
-    apply_fast = cloner.Channel.apply_fast
+    kraus_images = cloner.Channel.kraus_images
     sizes = []
 
     def counting(self, v):
         sizes.append(len(v))
-        return apply_fast(self, v)
+        return kraus_images(self, v)
 
-    monkeypatch.setattr(cloner.Channel, "apply_fast", counting)
+    monkeypatch.setattr(cloner.Channel, "kraus_images", counting)
     # a full chunk and five chains; then one chain, which scores the most
     # steps ahead per call where the byte budget allows it, and keeps
     # delta_all cheap at d = 8
