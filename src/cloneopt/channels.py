@@ -1,11 +1,12 @@
 """Generic completely positive map machinery.
 
-Choi matrices and their Kraus factor, CP/TP checks, symmetric
-representations Sym^N(u) on the occupation basis, seeded Haar twirling,
-Stinespring dilation, covariance defects, direct measurement of the
-omega functional and of the single-clone error for arbitrary cloning
-channels, and explicit qubit component cloners built from
-angular-momentum coupling.
+Choi matrices and their Kraus factor, the CP check (trace preservation
+is Channel.completeness_defect), symmetric representations Sym^N(u) on
+the occupation basis, the seeded Haar twirl of a Choi matrix, covariance
+defects, direct measurement of the omega functional and of the
+single-clone error for arbitrary cloning channels, and explicit qubit
+component cloners built from angular-momentum coupling on the
+occupation tables.
 """
 from __future__ import annotations
 
@@ -26,11 +27,11 @@ from .tensor_core import (
     product_power,
     single_site_marginal,
     sym_dimension,
+    sym_embed,
 )
-from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL, STRUCTURAL_TOL
+from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL
 
 __all__ = [
-    "TwirlConfig",
     "SU2Labels",
     "haar_unitary",
     "symmetric_rep",
@@ -38,14 +39,9 @@ __all__ = [
     "conjugate_channel",
     "check_choi_guard",
     "choi",
-    "choi_to_kraus",
-    "choi_trace_out_output",
     "min_choi_eigenvalue",
     "choi_factor",
     "twirl_choi",
-    "twirl",
-    "stinespring",
-    "dilation_trace",
     "covariance_defect",
     "omega_measure",
     "delta_one_numeric",
@@ -55,18 +51,6 @@ __all__ = [
     "spin_embedding",
     "constant_output_channel",
 ]
-
-
-@dataclass(frozen=True)
-class TwirlConfig:
-    """Monte-Carlo twirl parameters."""
-
-    sample_count: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -187,70 +171,20 @@ def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
     return float(_factor_eigvalsh(choi_factor(channel))[0])
 
 
-def choi_trace_out_output(channel: Channel) -> np.ndarray:
-    """Partial trace of the Choi matrix over the output; equals the
-    identity iff the state map preserves trace."""
-    C = choi(channel).reshape(
-        channel.in_dim, channel.out_dim, channel.in_dim, channel.out_dim
-    )
-    return np.einsum("ixjx->ij", C)
-
-
-def choi_to_kraus(
-    C: np.ndarray, in_dim: int, out_dim: int, cutoff: float = 1e-12
-) -> np.ndarray:
-    """Kraus stack (R, out_dim, in_dim) from a (nearly) PSD Choi matrix:
-    K_r = sqrt(lambda_r) v_r, read as (input, output), for the R
-    eigenpairs above the cutoff; eigenvalues below it are dropped."""
-    vals, vecs = np.linalg.eigh(C)
-    keep = vals > cutoff
-    kept = (np.sqrt(vals[keep]) * vecs[:, keep]).T
-    return kept.reshape(-1, in_dim, out_dim).transpose(0, 2, 1)
-
-
 def twirl_choi(
-    channel: Channel, cfg: TwirlConfig = TwirlConfig(), guard: int | None = None
+    channel: Channel, samples: int = 200, seed: int = 0, guard: int | None = None
 ) -> np.ndarray:
     """Monte-Carlo Haar average of the Choi matrices of tau_u(T) over
-    seeded unitaries.  Raises DimensionGuardError when in_dim * out_dim
-    exceeds the dense guard."""
-    rng = np.random.default_rng(cfg.seed)
+    `samples` seeded unitaries.  Raises ValueError for samples < 1 and
+    DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
     acc = np.zeros((check_choi_guard(channel, guard),) * 2, dtype=complex)
-    for _ in range(cfg.sample_count):
+    for _ in range(samples):
         u = haar_unitary(channel.d, rng)
         acc += choi(conjugate_channel(channel, u, guard), guard)
-    return acc / cfg.sample_count
-
-
-def twirl(
-    channel: Channel, cfg: TwirlConfig = TwirlConfig(), guard: int | None = None
-) -> Channel:
-    """Monte-Carlo Haar average of tau_u(T) over seeded unitaries.
-
-    The averaged Choi matrix (twirl_choi) is converted back to Kraus
-    form; the result is CP and TP to statistical tolerance.  Raises
-    DimensionGuardError when in_dim * out_dim exceeds the dense guard.
-    """
-    acc = twirl_choi(channel, cfg, guard)
-    return replace(channel, kraus=choi_to_kraus(acc, channel.in_dim, channel.out_dim))
-
-
-def stinespring(channel: Channel, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Dilation isometry V = sum_r K_r (x) |r> with V*V = 1 and
-    tr_K(V rho V*) equal to the state map."""
-    defect = channel.completeness_defect()
-    if defect > tol:
-        raise ChannelPropertyError(
-            f"channel is not trace preserving (defect {defect:.2e})"
-        )
-    return channel.kraus.transpose(1, 0, 2).reshape(-1, channel.in_dim)
-
-
-def dilation_trace(V: np.ndarray, rho: np.ndarray, out_dim: int) -> np.ndarray:
-    """tr_K(V rho V*) for a dilation isometry with rows ordered (out, K)."""
-    X = V @ np.asarray(rho, dtype=complex) @ V.conj().T
-    R = V.shape[0] // out_dim
-    return np.einsum("xryr->xy", X.reshape(out_dim, R, out_dim, R))
+    return acc / samples
 
 
 def covariance_defect(
@@ -357,23 +291,15 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
 # ---------------------------------------------------------------------------
 
 
-def _spin_lowering(j: Fraction) -> np.ndarray:
-    """J_- in the basis |j, j>, |j, j-1>, ..., |j, -j>."""
-    dim = int(2 * j) + 1
-    op = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        m = j - k
-        op[k + 1, k] = math.sqrt(float((j + m) * (j - m + 1)))
-    return op
-
-
 def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
     """Isometry from spin alpha into the M-fold qubit tensor product.
 
     Representative copy: the first 2*alpha sites carry the symmetric
-    (highest-spin) block, the remaining sites are paired into singlets;
-    the basis vectors are generated from the highest-weight vector by
-    total lowering.  Requires M - 2*alpha even and non-negative.
+    (highest-spin) block, the remaining sites are paired into singlets.
+    Column k is |alpha, alpha - k>, the occupation-basis (Dicke) column
+    of 2*alpha sites with k spins down.  Requires M - 2*alpha even and
+    non-negative; raises DimensionGuardError when 2^M exceeds the dense
+    guard.
     """
     alpha = Fraction(alpha)
     two_alpha = int(2 * alpha)
@@ -381,34 +307,11 @@ def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
         raise ValueError(
             f"spin {alpha} does not embed into {M} qubits (parity/size mismatch)"
         )
-    pairs = (M - two_alpha) // 2
-    hw = np.array([1.0], dtype=complex)
-    for _ in range(two_alpha):
-        hw = np.kron(hw, np.array([1.0, 0.0], dtype=complex))
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    for _ in range(pairs):
-        hw = np.kron(hw, singlet)
-
-    # total J_- acting on 2^M amplitudes: flip one up-spin to down per term
-    def lower(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        dim = vec.shape[0]
-        for x in range(dim):
-            if vec[x] == 0:
-                continue
-            for k in range(M):
-                bit = 1 << (M - 1 - k)
-                if not x & bit:  # site k is |0> = spin up
-                    out[x | bit] += vec[x]
-        return out
-
-    cols = [hw]
-    m = alpha
-    while m > -alpha:
-        nxt = lower(cols[-1]) / math.sqrt(float((alpha + m) * (alpha - m + 1)))
-        cols.append(nxt)
-        m -= 1
-    return np.column_stack(cols)
+    check_dense_guard(2, M)
+    singlets = np.ones(1, dtype=complex)
+    for _ in range((M - two_alpha) // 2):
+        singlets = np.kron(singlets, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
+    return np.kron(sym_embed(2, two_alpha), singlets[:, None])
 
 
 def su2_coupling_isometry(
@@ -425,7 +328,10 @@ def su2_coupling_isometry(
     if not (abs(alpha - beta) <= gamma <= alpha + beta):
         raise ValueError(f"triangle condition violated for ({alpha}, {beta}, {gamma})")
     da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma) + 1
-    lower_a, lower_b = _spin_lowering(alpha), _spin_lowering(beta)
+    # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
+    # qubits, with one spin moved from up (mode 0) to down (mode 1)
+    lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)
+                        for j in (alpha, beta))
     lower_tot = np.kron(lower_a, np.eye(db)) + np.kron(np.eye(da), lower_b)
     raise_tot = lower_tot.conj().T
 

@@ -232,9 +232,9 @@ def _cmd_rep_adjoint(args):
 def _cmd_channel_twirl(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
-    cfg = ch.TwirlConfig(sample_count=args.samples, seed=args.seed)
     # T is a twirl fixed point iff the averaged Choi matrix matches
-    diff = ch.twirl_choi(channel, cfg, args.guard) - ch.choi(channel, args.guard)
+    averaged = ch.twirl_choi(channel, args.samples, args.seed, args.guard)
+    diff = averaged - ch.choi(channel, args.guard)
     dist = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     return se.estimate_report(dist, args.samples, args.seed)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionGuardError
+from .omega_opt import delta_one_from_gamma
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
@@ -200,8 +201,7 @@ def shrinking_factor(spec: ClonerSpec) -> Fraction:
 
 def delta_one_closed_form(spec: ClonerSpec) -> Fraction:
     """Exact single-clone error (d-1)/d * |1 - shrinking factor|."""
-    gamma = shrinking_factor(spec)
-    return Fraction(spec.d - 1, spec.d) * abs(1 - gamma)
+    return delta_one_from_gamma(shrinking_factor(spec), spec.d)
 
 
 def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState) -> np.ndarray:

@@ -151,18 +151,16 @@ def _partitions(M: int, d: int):
     yield from _gen(d, M, M)
 
 
-def check_enumeration_guard(
-    d: int, M: int, m_guard: int = DEFAULT_M_GUARD, d_guard: int = DEFAULT_D_GUARD
-) -> None:
+def check_enumeration_guard(d: int, M: int) -> None:
     """Raise DimensionGuardError when the label domain of (d, M) is past
     the enumeration guards."""
-    if M > m_guard or d > d_guard:
+    if M > DEFAULT_M_GUARD or d > DEFAULT_D_GUARD:
         raise DimensionGuardError(
-            f"enumeration guard exceeded (M <= {m_guard}, d <= {d_guard})"
+            f"enumeration guard exceeded (M <= {DEFAULT_M_GUARD}, d <= {DEFAULT_D_GUARD})"
         )
 
 
-def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
+def _label_blocks(d: int, N: int, M: int):
     """Walk the feasible domain one dominant partition m at a time, in
     _partitions order: yield (m, mu) with mu an int64 array holding, one
     row per label, the mu_head of the box grid in itertools.product order
@@ -170,7 +168,7 @@ def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
     before anything is enumerated."""
     if d < 2 or N < 0 or M < 0:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
-    check_enumeration_guard(d, M, m_guard, d_guard)
+    check_enumeration_guard(d, M)
     for m in _partitions(M, d):
         # a slot above N forces mu_last < 0, so the grid stops there
         sides = [min(m[k] - m[k + 1], N) + 1 for k in range(d - 1)]
@@ -180,17 +178,11 @@ def _label_blocks(d: int, N: int, M: int, m_guard: int, d_guard: int):
         yield m, np.column_stack([head[keep], last[keep]])
 
 
-def enumerate_W1(
-    d: int,
-    N: int,
-    M: int,
-    m_guard: int = DEFAULT_M_GUARD,
-    d_guard: int = DEFAULT_D_GUARD,
-) -> list[CandidatePoint]:
+def enumerate_W1(d: int, N: int, M: int) -> list[CandidatePoint]:
     """Exhaustive, duplicate-free enumeration of the feasible domain."""
     return [
         CandidatePoint(m, tuple(mu))
-        for m, block in _label_blocks(d, N, M, m_guard, d_guard)
+        for m, block in _label_blocks(d, N, M)
         for mu in block.tolist()
     ]
 
@@ -210,13 +202,7 @@ def _report(d, N, M, best, maximizers, count) -> OmegaReport:
     )
 
 
-def maximize_brute(
-    d: int,
-    N: int,
-    M: int,
-    m_guard: int = DEFAULT_M_GUARD,
-    d_guard: int = DEFAULT_D_GUARD,
-) -> OmegaReport:
+def maximize_brute(d: int, N: int, M: int) -> OmegaReport:
     """Global maximum of F2 over the full enumeration, with all maximizers
     in enumeration order.  F2 is evaluated one partition block at a time
     in exact int64 arithmetic; only the labels that tie the maximum
@@ -227,7 +213,7 @@ def maximize_brute(
     best = None
     maximizers: list[CandidatePoint] = []
     count = 0
-    for m, mu in _label_blocks(d, N, M, m_guard, d_guard):
+    for m, mu in _label_blocks(d, N, M):
         count += len(mu)
         values = np.sum(mu * (2 * np.array(m) - slots - mu), axis=1)
         top = int(values.max())
@@ -349,7 +335,7 @@ def random_feasible_point(d: int, N: int, M: int, seed: int) -> CandidatePoint:
     the label at index default_rng(seed).integers(count) of the
     enumeration order."""
     rng = np.random.default_rng(seed)
-    blocks = list(_label_blocks(d, N, M, DEFAULT_M_GUARD, DEFAULT_D_GUARD))
+    blocks = list(_label_blocks(d, N, M))
     index = int(rng.integers(sum(len(mu) for _, mu in blocks)))
     for m, mu in blocks:
         if index < len(mu):

@@ -244,16 +244,10 @@ def one_body_operator(a: np.ndarray, d: int, sites: int, basis: str) -> np.ndarr
     """
     a = np.asarray(a, dtype=complex)
     if basis == FULL_BASIS:
-        dim = d**sites
-        op = np.zeros((dim, dim), dtype=complex)
-        eye = np.eye(d)
+        # sum over the first k + 1 sites from the sum over the first k
+        op = np.zeros((1, 1), dtype=complex)
         for k in range(sites):
-            factors = [eye] * sites
-            factors[k] = a
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            op += term
+            op = np.kron(op, np.eye(d)) + np.kron(np.eye(d**k), a)
         return op
     if basis != SYMMETRIC_BASIS:
         raise BasisError(f"unknown basis tag {basis!r}")

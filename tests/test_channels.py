@@ -1,6 +1,7 @@
-"""CP-map machinery: Choi, twirl, dilation, covariance, direct omega."""
+"""CP-map machinery: Choi, twirl, covariance, direct omega, qubit components."""
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,14 +10,13 @@ import pytest
 
 from cloneopt import (
     FULL_BASIS,
+    SYMMETRIC_BASIS,
     ChannelPropertyError,
     ClonerSpec,
     DensityOperator,
     DimensionGuardError,
     SU2Labels,
-    TwirlConfig,
     choi,
-    choi_to_kraus,
     covariance_defect,
     delta_all_numeric,
     delta_one_closed_form,
@@ -24,27 +24,25 @@ from cloneopt import (
     haar_state,
     haar_unitary,
     omega_measure,
+    one_body_operator,
     optimal_cloner,
     product_power,
     single_site_marginal,
-    stinespring,
     su2_component_cloner,
     sym_dimension,
     sym_embed,
-    twirl,
 )
 from cloneopt.channels import (
     _factor_eigvalsh,
     choi_factor,
-    choi_trace_out_output,
     conjugate_channel,
     constant_output_channel,
-    dilation_trace,
     kron_power,
     min_choi_eigenvalue,
     spin_embedding,
     su2_coupling_isometry,
     symmetric_rep,
+    twirl_choi,
 )
 from cloneopt import cloner
 from cloneopt.cloner import Channel, refine_supremum
@@ -64,28 +62,10 @@ def test_choi_of_identity_channel():
 def test_choi_cp_tp_checks():
     channel = optimal_cloner(ClonerSpec(2, 1, 2))
     assert min_choi_eigenvalue(channel) >= -1e-10
-    assert np.allclose(choi_trace_out_output(channel), np.eye(2), atol=1e-10)
-    # a deliberately non-TP Kraus family fails the partial-trace check
+    assert channel.completeness_defect() < 1e-10
+    # a deliberately non-TP Kraus family fails the completeness check
     broken = Channel(kraus=[0.5 * np.eye(2, dtype=complex)], d=2, n_in=1, m_out=1)
-    assert not np.allclose(choi_trace_out_output(broken), np.eye(2), atol=1e-10)
-
-
-def test_choi_kraus_roundtrip():
-    channel = optimal_cloner(ClonerSpec(2, 2, 3))
-    C = choi(channel)
-    kraus = choi_to_kraus(C, channel.in_dim, channel.out_dim)
-    # oracle: one operator per eigenvector above the cutoff, in eigh order
-    vals, vecs = np.linalg.eigh(C)
-    loop = [math.sqrt(val) * vec.reshape(channel.in_dim, channel.out_dim).T
-            for val, vec in zip(vals, vecs.T) if val > 1e-12]
-    assert kraus.shape == (len(loop), channel.out_dim, channel.in_dim)
-    assert np.array_equal(kraus, np.stack(loop))
-    rebuilt = Channel(kraus=kraus, d=2, n_in=2, m_out=3)
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = z @ z.conj().T
-    rho /= np.trace(rho)
-    assert np.max(np.abs(channel.apply(rho) - rebuilt.apply(rho))) < 1e-10
+    assert broken.completeness_defect() > 1e-10
 
 
 def test_haar_unitary_properties():
@@ -109,57 +89,39 @@ def test_covariance_defect_detects_bias():
 
 def test_twirl_fixed_point():
     channel = optimal_cloner(ClonerSpec(2, 1, 2))
-    averaged = twirl(channel, TwirlConfig(sample_count=60, seed=3))
-    dist = np.max(np.abs(np.linalg.eigvalsh(choi(averaged) - choi(channel))))
+    averaged = twirl_choi(channel, samples=60, seed=3)
+    dist = np.max(np.abs(np.linalg.eigvalsh(averaged - choi(channel))))
     assert dist < 1e-10  # exact fixed point, only roundoff accumulates
 
 
 def test_twirl_single_sample_is_one_rotation():
     channel = optimal_cloner(ClonerSpec(2, 1, 2))
-    from cloneopt.channels import conjugate_channel
-
     rng = np.random.default_rng(9)
     u = haar_unitary(2, rng)
-    one = twirl(channel, TwirlConfig(sample_count=1, seed=9))
-    assert np.max(np.abs(choi(one) - choi(conjugate_channel(channel, u)))) < 1e-10
+    one = twirl_choi(channel, samples=1, seed=9)
+    assert np.max(np.abs(one - choi(conjugate_channel(channel, u)))) < 1e-10
+
+
+def test_twirl_choi_needs_a_sample():
+    with pytest.raises(ValueError):
+        twirl_choi(optimal_cloner(ClonerSpec(2, 1, 2)), samples=0)
 
 
 def test_twirl_washes_out_direction():
     channel = constant_output_channel(2, 1, 2)
-    averaged = twirl(channel, TwirlConfig(sample_count=400, seed=1))
+    averaged = twirl_choi(channel, samples=400, seed=1)
     # single-site marginal of the twirl is gamma' sigma + (1-gamma')/d
     # with gamma' near zero
-    from cloneopt import SYMMETRIC_BASIS
-
     psi = haar_state(2, seed=21)
     v = product_power(psi, 1)
-    out = averaged.apply(np.outer(v, v.conj()))
+    C = averaged.reshape(channel.in_dim, channel.out_dim, channel.in_dim, channel.out_dim)
+    out = np.einsum("ij,iajb->ab", np.outer(v, v.conj()), C)
     marg = single_site_marginal(DensityOperator(out, SYMMETRIC_BASIS, 2, 2))
     gamma_est = float(np.real(np.vdot(psi.projector() - np.eye(2) / 2, marg))) / (
         float(np.real(np.vdot(psi.projector() - np.eye(2) / 2,
                               psi.projector() - np.eye(2) / 2)))
     )
     assert abs(gamma_est) < 0.05
-
-
-def test_stinespring_isometry_and_trace():
-    channel = optimal_cloner(ClonerSpec(2, 1, 2))
-    V = stinespring(channel)
-    assert V.shape == (channel.out_dim * len(channel.kraus), channel.in_dim)
-    assert np.allclose(V.conj().T @ V, np.eye(channel.in_dim), atol=1e-10)
-    rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-    assert np.max(np.abs(dilation_trace(V, rho, channel.out_dim) - channel.apply(rho))) < 1e-10
-
-
-def test_stinespring_of_unitary_channel():
-    V = stinespring(identity_channel(3))
-    assert np.allclose(V, np.eye(3), atol=1e-12)
-
-
-def test_stinespring_rejects_non_tp():
-    broken = Channel(kraus=[0.5 * np.eye(2, dtype=complex)], d=2, n_in=1, m_out=1)
-    with pytest.raises(ChannelPropertyError):
-        stinespring(broken)
 
 
 def test_omega_measure_values():
@@ -202,16 +164,75 @@ def test_spin_embedding_parity_guard():
         spin_embedding(Fraction(3), 4)
 
 
+def looped_spin_embedding(alpha, M):
+    """Oracle: the highest-weight vector |0...0> (x) singlets, lowered one
+    column at a time by total J_- over all 2^M amplitudes."""
+    two_alpha = int(2 * alpha)
+    hw = np.array([1.0], dtype=complex)
+    for _ in range(two_alpha):
+        hw = np.kron(hw, np.array([1.0, 0.0], dtype=complex))
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    for _ in range((M - two_alpha) // 2):
+        hw = np.kron(hw, singlet)
+
+    def lower(vec):
+        out = np.zeros_like(vec)
+        for x in range(vec.shape[0]):
+            if vec[x] == 0:
+                continue
+            for k in range(M):
+                bit = 1 << (M - 1 - k)
+                if not x & bit:  # site k is |0> = spin up
+                    out[x | bit] += vec[x]
+        return out
+
+    cols = [hw]
+    m = alpha
+    while m > -alpha:
+        cols.append(lower(cols[-1]) / math.sqrt(float((alpha + m) * (alpha - m + 1))))
+        m -= 1
+    return np.column_stack(cols)
+
+
+def test_spin_embedding_matches_lowering_loop():
+    for M in range(11):
+        for two_alpha in range(M % 2, M + 1, 2):
+            alpha = Fraction(two_alpha, 2)
+            W = spin_embedding(alpha, M)
+            assert np.max(np.abs(W - looped_spin_embedding(alpha, M))) <= 1e-15, (alpha, M)
+
+
+def spin_lowering(j):
+    """J_- in the basis |j, j>, ..., |j, -j>, as su2_coupling_isometry
+    builds it: one spin moved from up to down on 2j qubits."""
+    return one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)
+
+
+def test_spin_lowering_matrix_elements():
+    for two_j in range(20):
+        j = Fraction(two_j, 2)
+        expected = np.zeros((two_j + 1,) * 2, dtype=complex)
+        for k in range(two_j):
+            m = j - k
+            expected[k + 1, k] = math.sqrt(float((j + m) * (j - m + 1)))
+        assert np.array_equal(spin_lowering(j), expected), j
+
+
+def test_component_cloner_refuses_large_m_before_building():
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuardError):
+        su2_component_cloner(SU2Labels(Fraction(13, 2), Fraction(6), Fraction(1, 2)), 1, 13)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_coupling_isometry_intertwines():
     alpha, beta, gamma = Fraction(1), Fraction(1, 2), Fraction(1, 2)
     V = su2_coupling_isometry(alpha, beta, gamma)
     assert np.allclose(V.conj().T @ V, np.eye(int(2 * gamma) + 1), atol=1e-10)
     # check the intertwining property against the total lowering operator
-    from cloneopt.channels import _spin_lowering
-
-    lower_g = _spin_lowering(gamma)
-    lower_tot = np.kron(_spin_lowering(alpha), np.eye(int(2 * beta) + 1)) + np.kron(
-        np.eye(int(2 * alpha) + 1), _spin_lowering(beta)
+    lower_g = spin_lowering(gamma)
+    lower_tot = np.kron(spin_lowering(alpha), np.eye(int(2 * beta) + 1)) + np.kron(
+        np.eye(int(2 * alpha) + 1), spin_lowering(beta)
     )
     assert np.max(np.abs(lower_tot @ V - V @ lower_g)) < 1e-10
 
@@ -266,14 +287,14 @@ def test_choi_and_twirl_guard_refuse_before_allocating():
     with pytest.raises(DimensionGuardError):
         choi(channel)
     with pytest.raises(DimensionGuardError):
-        twirl(channel, TwirlConfig(sample_count=1))
+        twirl_choi(channel, samples=1)
     with pytest.raises(DimensionGuardError):
         covariance_defect(channel, samples=1)
     small = optimal_cloner(ClonerSpec(2, 1, 2))  # side 2 * 3 = 6
     with pytest.raises(DimensionGuardError):
         choi(small, guard=5)
     with pytest.raises(DimensionGuardError):
-        twirl(small, TwirlConfig(sample_count=1), guard=5)
+        twirl_choi(small, samples=1, guard=5)
     assert choi(small, guard=6).shape == (6, 6)
 
 

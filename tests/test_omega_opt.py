@@ -79,7 +79,7 @@ def test_enumeration_guard():
     with pytest.raises(DimensionGuardError):
         enumerate_W1(2, 1, 40)
     with pytest.raises(DimensionGuardError):
-        enumerate_W1(9, 1, 4, d_guard=8)
+        enumerate_W1(9, 1, 4)
 
 
 def listed_domain(d, N, M):

@@ -20,6 +20,7 @@ from cloneopt import (
     sym_embed,
     symmetrizer,
 )
+from cloneopt.channels import traceless_hermitian_basis
 from cloneopt.tensor_core import check_dense_guard
 
 
@@ -195,6 +196,34 @@ def test_one_body_operator_full_vs_symmetric():
     sym = one_body_operator(a, d, N, SYMMETRIC_BASIS)
     E = sym_embed(d, N)
     assert np.allclose(E.conj().T @ full @ E, sym, atol=1e-12)
+
+
+def per_term_one_body_operator(a, d, sites):
+    """Oracle: sum over k of the kron product with a on site k and the
+    identity elsewhere, one term at a time."""
+    dim = d**sites
+    op = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(d)
+    for k in range(sites):
+        factors = [eye] * sites
+        factors[k] = np.asarray(a, dtype=complex)
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        op += term
+    return op
+
+
+# d = 4 stops at 5 sites: a dense operator on 4^6 sites takes 268 MB
+@pytest.mark.parametrize("d,sites", [(d, s) for d in (2, 3, 4) for s in range(1, 7)
+                                     if d**s <= 1024])
+def test_full_basis_one_body_operator_matches_per_term_sum(d, sites):
+    rng = np.random.default_rng(10 * d + sites)
+    mats = traceless_hermitian_basis(d) + [
+        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    for a in mats:
+        assert np.array_equal(one_body_operator(a, d, sites, FULL_BASIS),
+                              per_term_one_body_operator(a, d, sites))
 
 
 def test_haar_state_deterministic_and_normalized():
