@@ -148,8 +148,21 @@ def check_choi_guard(channel: Channel, guard: int | None = None) -> int:
 def choi_factor(channel: Channel) -> np.ndarray:
     """X = [vec K_r], of shape (in_dim * out_dim, R), with choi = X X^*.
 
-    Column r is K_r^T flattened, indexed (input, output) like choi."""
-    return channel.kraus.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
+    Column r is K_r^T flattened, indexed (input, output) like choi.  X
+    is the transposed view of C-contiguous rows (_write_choi_rows), so
+    X.T is the row layout _factor_eigvalsh takes."""
+    R = len(channel.kraus)
+    rows = np.empty((R, channel.in_dim * channel.out_dim), dtype=complex)
+    _write_choi_rows(channel.kraus, rows)
+    return rows.T
+
+
+def _write_choi_rows(kraus: np.ndarray, rows: np.ndarray) -> None:
+    """Write the columns of choi_factor of the stack kraus, (R, out_dim,
+    in_dim), as the R rows of the C-contiguous rows: row r is K_r^T
+    flattened."""
+    R, out_dim, in_dim = kraus.shape
+    rows.reshape(R, in_dim, out_dim)[...] = kraus.transpose(0, 2, 1)
 
 
 def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
@@ -166,9 +179,12 @@ def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
 
 
 def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
-    """Least eigenvalue of the Choi matrix, from its Kraus factor."""
-    check_choi_guard(channel, guard)
-    return float(_factor_eigvalsh(choi_factor(channel))[0])
+    """Least eigenvalue of the Choi matrix, from its Kraus factor: the
+    least eigenvalue _factor_eigvalsh gives, or 0 where R < side leaves
+    the Choi matrix a kernel and that eigenvalue is positive."""
+    side = check_choi_guard(channel, guard)
+    least = float(_factor_eigvalsh(choi_factor(channel).T)[0])
+    return min(least, 0.0) if len(channel.kraus) < side else least
 
 
 def twirl_choi(
@@ -192,15 +208,19 @@ def covariance_defect(
 ) -> float:
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
     Haar unitaries; zero (to tolerance) iff T is covariant.  The spectra
-    come from the Kraus factors (choi_factor); raises DimensionGuardError
-    when in_dim * out_dim exceeds the dense guard."""
-    check_choi_guard(channel, guard)
+    come from the Kraus factors [X_u X_0] (choi_factor's columns, written
+    as the rows of one buffer that every sample reuses, X_0 once); raises
+    DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
+    side = check_choi_guard(channel, guard)
     rng = np.random.default_rng(seed)
-    X0 = choi_factor(channel)
+    R = len(channel.kraus)
+    rows = np.empty((2 * R, side), dtype=complex)
+    _write_choi_rows(channel.kraus, rows[R:])
     worst = 0.0
     for _ in range(samples):
         u = haar_unitary(channel.d, rng)
-        vals = _factor_eigvalsh(choi_factor(conjugate_channel(channel, u, guard)), X0)
+        _write_choi_rows(conjugate_channel(channel, u, guard).kraus, rows[:R])
+        vals = _factor_eigvalsh(rows, negative=R)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 
@@ -327,7 +347,7 @@ def su2_coupling_isometry(
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if not (abs(alpha - beta) <= gamma <= alpha + beta):
         raise ValueError(f"triangle condition violated for ({alpha}, {beta}, {gamma})")
-    da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma) + 1
+    da, db = int(2 * alpha) + 1, int(2 * beta) + 1
     # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
     # qubits, with one spin moved from up (mode 0) to down (mode 1)
     lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)

@@ -20,16 +20,17 @@ from .tensor_core import (
     SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
+    _product_powers,
+    _rank,
+    _table,
     check_dense_guard,
-    occupation_basis,
-    occupation_index,
     product_power,
     single_site_marginal,
     sym_dimension,
     sym_embed,
     symmetrizer,
 )
-from .tolerances import KRAUS_ENTRY_GUARD, STRUCTURAL_TOL
+from .tolerances import KRAUS_ENTRY_GUARD
 
 __all__ = [
     "ClonerSpec",
@@ -163,15 +164,19 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
             f"optimal cloner for (d, N, M) = ({d}, {N}, {M}) needs {entries} "
             f"Kraus entries, above the guard {KRAUS_ENTRY_GUARD}"
         )
-    basis_n = occupation_basis(d, N)
-    index_m = occupation_index(d, M)
+    occ_n, occ_c = _table(d, N).occ, _table(d, M - N).occ
+    # operator c maps input n to the output occupation m = n + c
+    m = occ_c[:, None] + occ_n[None]
+    rows = _rank(m.reshape(-1, d), M).reshape(count, dim_n)
+    # each product below is at most binom(M, N) (Vandermonde), so int64
+    # holds it exactly wherever binom(M, N) does; Python ints otherwise
+    exact = np.int64 if math.comb(M, N) < 2**63 else object
+    comb = np.array([[math.comb(a, b) for b in range(N + 1)] for a in range(M + 1)], dtype=exact)
     # squared entry: (d[N]/d[M]) prod_i binom(m_i, n_i) / binom(M, N)
     coeff = dim_n / (dim_m * math.comb(M, N))
+    weights = np.prod(comb[m, occ_n], axis=-1).astype(float)
     kraus = np.zeros((count, dim_m, dim_n), dtype=complex)
-    for K, c in zip(kraus, occupation_basis(d, M - N)):
-        for col, n in enumerate(basis_n):
-            m = tuple(a + b for a, b in zip(n, c))
-            K[index_m[m], col] = math.sqrt(coeff * math.prod(map(math.comb, m, n)))
+    kraus[np.arange(count)[:, None], rows, np.arange(dim_n)] = np.sqrt(coeff * weights)
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
 
@@ -226,23 +231,23 @@ def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:
     return float(np.real(v_out.conj() @ rho_out @ v_out))
 
 
-def _factor_eigvalsh(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Ascending spectrum of X X^* - Y Y^* (Y absent: of X X^*), for
-    factors of shape (..., side, k_X) and (..., side, k_Y) with the same
-    leading axes, one spectrum per stacked pair.
+def _factor_eigvalsh(rows: np.ndarray, negative: int = 0) -> np.ndarray:
+    """Ascending spectrum of F J F^*, one per stacked factor, where the k
+    columns of F are given as rows, of shape (..., k, side), and J =
+    diag(1, ..., 1, -1, ..., -1) has its last `negative` entries -1.
 
-    With F = [X Y] and J = diag(1, -1) over its k = k_X + k_Y columns the
-    operator is F J F^*.  When k < side, F = QT with T the (k, k) factor
-    of a QR, and the spectrum is that of T J T^*, padded with zeros to
-    the side; otherwise T = F and F J F^* is solved as it is."""
-    A = X if Y is None else np.concatenate([X, Y], axis=-1)
-    side, k = A.shape[-2:]
+    When k < side, F = QT with T the (k, k) factor of a QR, and the k
+    eigenvalues returned are those of T J T^*; F J F^* has side - k more,
+    all zero, which a caller that needs the full spectrum pads in itself.
+    Otherwise T = F and the side eigenvalues of F J F^* are returned.  F
+    is read as the transposed view of rows, so C-contiguous rows make
+    each matrix of F column-major, the layout LAPACK copies it into."""
+    k, side = rows.shape[-2:]
     signs = np.ones(k)
-    signs[X.shape[-1]:] = -1.0
-    T = np.linalg.qr(A, mode="r") if k < side else A
-    vals = np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
-    pad = np.zeros(vals.shape[:-1] + (side - T.shape[-2],))
-    return np.sort(np.concatenate([vals, pad], axis=-1), axis=-1)
+    signs[k - negative:] = -1.0
+    F = np.swapaxes(rows, -1, -2)
+    T = np.linalg.qr(F, mode="r") if k < side else F
+    return np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
 
 
 # Sampled states scored per values() call: at least _CHUNK, raised up to
@@ -372,9 +377,13 @@ def delta_all_numeric(
     T(sigma^N) - sigma^M = F J F^* with F = [K_1 v, ..., K_R v, v_out]
     of shape (out_dim, R+1), v = sigma^N and v_out = sigma^M as vectors,
     and J = diag(1, ..., 1, -1).  So the output state is never formed:
-    the trace norm is read from _factor_eigvalsh of the kraus_images of
-    v against v_out, an eigenproblem of side R+1 after a QR of F where
-    R+1 < out_dim, of side out_dim otherwise (d = 2, N = 1).
+    each values() call writes the kraus_images of v and then v_out as
+    the rows of one (B, R+1, out_dim) array (v and v_out from one table
+    of powers), and the trace norm is the sum of |lambda| over the
+    spectrum _factor_eigvalsh gives for it, an eigenproblem of side R+1
+    after a QR of F where R+1 < out_dim, of side out_dim otherwise
+    (d = 2, N = 1).  The out_dim - (R+1) zero eigenvalues add nothing to
+    the sum and are never formed.
 
     Covariance of the optimal cloner makes the objective state
     independent, so sampling is confirmation rather than search; the top
@@ -387,11 +396,13 @@ def delta_all_numeric(
     a run are the first of any longer run.
     """
     channel = optimal_cloner(spec)
+    R, out_dim = len(channel.kraus), channel.out_dim
 
     def values(amps: np.ndarray) -> np.ndarray:
-        images = channel.kraus_images(product_power(amps, spec.n_in))
-        v_out = product_power(amps, spec.m_out)
-        vals = _factor_eigvalsh(np.swapaxes(images, -1, -2), v_out[..., None])
-        return np.sum(np.abs(vals), axis=-1)
+        v_in, v_out = _product_powers(amps, spec.n_in, spec.m_out)
+        rows = np.empty((len(amps), R + 1, out_dim), dtype=complex)
+        rows[:, :R] = channel.kraus_images(v_in)
+        rows[:, R] = v_out
+        return np.sum(np.abs(_factor_eigvalsh(rows, negative=1)), axis=-1)
 
     return _sampled_supremum(values, channel, samples, seed)

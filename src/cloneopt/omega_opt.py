@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionGuardError
-from .rep_theory import casimirs, check_dominant, conjugate_weight, is_dominant
+from .rep_theory import check_dominant, conjugate_weight, is_dominant
 
 __all__ = [
     "CandidatePoint",

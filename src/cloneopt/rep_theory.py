@@ -5,7 +5,6 @@ may be negative.  All arithmetic is exact (Python integers / Fraction).
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate

@@ -227,13 +227,28 @@ def product_power(psi: PureState | np.ndarray, N: int) -> np.ndarray:
     Amplitudes of shape (..., d) give coordinates of shape (..., dim).
     """
     amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=complex)
-    d = amps.shape[-1]
-    table = _table(d, N)
-    # powers[..., i, k] = psi_i^k for k = 0..N
-    powers = np.ones(amps.shape + (N + 1,), dtype=complex)
-    powers[..., 1:] = np.cumprod(np.repeat(amps[..., None], N, axis=-1), axis=-1)
-    terms = powers[..., np.arange(d), table.occ]
-    return table.sqrt_multinomial * np.prod(terms, axis=-1)
+    return _product_powers(amps, N)[0]
+
+
+def _product_powers(amps: np.ndarray, *orders: int) -> list[np.ndarray]:
+    """product_power(amps, N) for each N in orders, all read from one
+    table of powers psi_i^k, k <= max(orders).
+
+    The table is a running product, so a table of the largest order
+    holds every smaller one: bit for bit, except that numpy rounds the
+    one product of a length-2 running product (psi_i^2) as a plain
+    multiply and the first product of a longer one otherwise, so order 2
+    below a larger order may differ from product_power in the last bit."""
+    d, top = amps.shape[-1], max(orders)
+    # powers[..., i, k] = psi_i^k for k = 0..top
+    powers = np.ones(amps.shape + (top + 1,), dtype=complex)
+    powers[..., 1:] = np.cumprod(np.repeat(amps[..., None], top, axis=-1), axis=-1)
+    coords = []
+    for N in orders:
+        table = _table(d, N)
+        terms = powers[..., np.arange(d), table.occ]
+        coords.append(table.sqrt_multinomial * np.prod(terms, axis=-1))
+    return coords
 
 
 def one_body_operator(a: np.ndarray, d: int, sites: int, basis: str) -> np.ndarray:

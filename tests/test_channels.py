@@ -603,46 +603,91 @@ def factor_test_channels():
     ]
 
 
+def choi_rows(channel):
+    """The columns of choi_factor as the rows _factor_eigvalsh takes."""
+    return choi_factor(channel).T
+
+
 @pytest.mark.parametrize("channel", factor_test_channels())
 def test_factor_spectra_match_dense_eigvalsh(channel, monkeypatch):
     C0 = choi(channel)
     assert np.allclose(choi_factor(channel) @ choi_factor(channel).conj().T, C0, atol=1e-14)
     dense = np.linalg.eigvalsh(C0)
-    assert np.max(np.abs(_factor_eigvalsh(choi_factor(channel)) - dense)) < 1e-12
+    assert np.max(np.abs(padded_to_side(_factor_eigvalsh(choi_rows(channel)), len(C0)) - dense)) < 1e-12
     assert abs(min_choi_eigenvalue(channel) - dense[0]) < 1e-12
     u = haar_unitary(channel.d, np.random.default_rng(3))
     rotated = conjugate_channel(channel, u)
     dense_diff = np.linalg.eigvalsh(choi(rotated) - C0)
-    fast_diff = _factor_eigvalsh(choi_factor(rotated), choi_factor(channel))
-    assert np.max(np.abs(fast_diff - dense_diff)) < 1e-12
+    R = len(channel.kraus)
+    fast_diff = _factor_eigvalsh(np.concatenate([choi_rows(rotated), choi_rows(channel)]), negative=R)
+    assert np.max(np.abs(padded_to_side(fast_diff, len(C0)) - dense_diff)) < 1e-12
     # stacked factors: leading axes (2, 3), six rotations against the channel
     rng = np.random.default_rng(4)
-    X = np.array([choi_factor(conjugate_channel(channel, haar_unitary(channel.d, rng)))
-                  for _ in range(6)]).reshape((2, 3) + choi_factor(channel).shape)
-    assert_factor_spectra(X, np.broadcast_to(choi_factor(channel), X.shape))
+    X = np.array([choi_rows(conjugate_channel(channel, haar_unitary(channel.d, rng)))
+                  for _ in range(6)]).reshape((2, 3) + choi_rows(channel).shape)
+    assert_factor_spectra(np.concatenate([X, np.broadcast_to(choi_rows(channel), X.shape)], axis=-2), R)
     assert_factor_spectra(X)
-    # at least as many columns as rows: no QR is taken
-    R = len(channel.kraus)
-    wide = X[..., :R, :]
+    # at least as many rows (factor columns) as the side: no QR is taken
+    wide = X[..., :R]
     monkeypatch.setattr(np.linalg, "qr", None)
     assert_factor_spectra(wide)
-    assert_factor_spectra(wide, np.broadcast_to(choi_factor(channel)[:R], wide.shape))
+    fixed = np.broadcast_to(choi_rows(channel)[:, :R], wide.shape)
+    assert_factor_spectra(np.concatenate([wide, fixed], axis=-2), R)
 
 
-def assert_factor_spectra(X, Y=None):
-    """_factor_eigvalsh on stacked factors: ascending, padded with zeros
-    to the side, and the dense spectrum of each X X^* - Y Y^*."""
-    got = _factor_eigvalsh(X, Y)
-    side = X.shape[-2]
-    k = X.shape[-1] + (0 if Y is None else Y.shape[-1])
-    assert got.shape == X.shape[:-1]
+def padded_to_side(vals, side):
+    """A spectrum from _factor_eigvalsh with its missing zeros put back."""
+    pad = np.zeros(vals.shape[:-1] + (side - vals.shape[-1],))
+    return np.sort(np.concatenate([vals, pad], axis=-1), axis=-1)
+
+
+def assert_factor_spectra(rows, negative=0):
+    """_factor_eigvalsh on stacked factors given as rows (..., k, side):
+    ascending, min(k, side) eigenvalues, and once padded with zeros to the
+    side the dense spectrum of each F J F^*."""
+    got = _factor_eigvalsh(rows, negative)
+    k, side = rows.shape[-2:]
+    assert got.shape == rows.shape[:-2] + (min(k, side),)
     assert np.all(np.diff(got, axis=-1) >= 0)
-    assert np.all(np.sum(got == 0.0, axis=-1) >= side - k)
-    for idx in np.ndindex(*X.shape[:-2]):
-        op = X[idx] @ X[idx].conj().T
-        if Y is not None:
-            op -= Y[idx] @ Y[idx].conj().T
-        assert np.max(np.abs(got[idx] - np.linalg.eigvalsh(op))) < 1e-12
+    signs = np.r_[np.ones(k - negative), -np.ones(negative)]
+    for idx in np.ndindex(*rows.shape[:-2]):
+        F = rows[idx].T
+        op = (F * signs) @ F.conj().T
+        assert np.max(np.abs(padded_to_side(got[idx], side) - np.linalg.eigvalsh(op))) < 1e-12
+
+
+def padded_factor_eigvalsh(X, Y=None):
+    """Oracle: the factor solve as it was before it took rows, on factors
+    (..., side, k_X) and (..., side, k_Y) joined by a concatenate, its
+    spectrum padded with zeros to the side and sorted."""
+    A = X if Y is None else np.concatenate([X, Y], axis=-1)
+    side, k = A.shape[-2:]
+    signs = np.ones(k)
+    signs[X.shape[-1]:] = -1.0
+    T = np.linalg.qr(A, mode="r") if k < side else A
+    vals = np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
+    pad = np.zeros(vals.shape[:-1] + (side - T.shape[-2],))
+    return np.sort(np.concatenate([vals, pad], axis=-1), axis=-1)
+
+
+def copied_choi_factor(channel):
+    """Oracle input: choi_factor as it was, a C-contiguous copy."""
+    return channel.kraus.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
+
+
+@pytest.mark.parametrize("channel", factor_test_channels())
+def test_factor_callers_match_the_padded_solve_bit_for_bit(channel):
+    X0 = copied_choi_factor(channel)
+    assert np.array_equal(choi(channel), X0 @ X0.conj().T)
+    assert min_choi_eigenvalue(channel).hex() == float(padded_factor_eigvalsh(X0)[0]).hex()
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(3):
+            u = haar_unitary(channel.d, rng)
+            vals = padded_factor_eigvalsh(copied_choi_factor(conjugate_channel(channel, u)), X0)
+            worst = max(worst, float(np.max(np.abs(vals))))
+        assert covariance_defect(channel, samples=3, seed=seed).hex() == worst.hex()
 
 
 def test_conjugation_matches_dense_oracle():

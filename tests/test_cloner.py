@@ -19,6 +19,8 @@ from cloneopt import (
     delta_one_numeric,
     dense_cloner_output,
     haar_state,
+    occupation_basis,
+    occupation_index,
     optimal_cloner,
     product_power,
     shrinking_factor,
@@ -31,6 +33,7 @@ from cloneopt import (
 from cloneopt import cloner
 from cloneopt.channels import constant_output_channel
 from cloneopt.cloner import Channel
+from cloneopt.tolerances import KRAUS_ENTRY_GUARD
 
 DESK_GRID = [
     (2, 1, 2),
@@ -96,6 +99,34 @@ def test_kraus_count_and_shapes():
                 images[i, j] = dense_cloner_output(spec, unit)
         oracle = images.transpose(0, 2, 1, 3).reshape(dim_n * dim_m, dim_n * dim_m)
         assert np.max(np.abs(choi(channel) - oracle)) < 1e-12
+
+
+def loop_optimal_cloner(d, N, M):
+    """Oracle: the optimal cloner's Kraus stack filled one entry at a
+    time, over each operator c and input column n."""
+    dim_n, dim_m = sym_dimension(d, N), sym_dimension(d, M)
+    index_m = occupation_index(d, M)
+    coeff = dim_n / (dim_m * math.comb(M, N))
+    kraus = np.zeros((sym_dimension(d, M - N), dim_m, dim_n), dtype=complex)
+    for K, c in zip(kraus, occupation_basis(d, M - N)):
+        for col, n in enumerate(occupation_basis(d, N)):
+            m = tuple(a + b for a, b in zip(n, c))
+            K[index_m[m], col] = math.sqrt(coeff * math.prod(map(math.comb, m, n)))
+    return kraus
+
+
+# every size within the Kraus entry guard at d <= 6, N <= 5, M <= N + 5,
+# and large M; binom(150, 70) exceeds int64, so (2, 70, 150) multiplies
+# Python ints
+KRAUS_LOOP_SIZES = [
+    (d, N, M) for d in range(2, 7) for N in range(1, 6) for M in range(N, N + 6)
+    if sym_dimension(d, M - N) * sym_dimension(d, M) * sym_dimension(d, N) <= KRAUS_ENTRY_GUARD
+] + [(2, 30, 64), (2, 1, 64), (2, 20, 40), (2, 70, 150)]
+
+
+def test_optimal_cloner_matches_the_entry_loop():
+    for d, N, M in KRAUS_LOOP_SIZES:
+        assert np.array_equal(optimal_cloner(ClonerSpec(d, N, M)).kraus, loop_optimal_cloner(d, N, M))
 
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID)
@@ -219,6 +250,49 @@ def test_delta_all_factor_route_matches_dense_oracle(d, N, M, monkeypatch):
     got = values(amps)
     assert got.shape == (len(amps),)
     assert np.max(np.abs(got - dense_delta_all_values(optimal_cloner(spec), amps))) < 1e-12
+
+
+def padded_delta_all_values(channel, amps):
+    """Oracle: delta_all's values() as it was before the row buffer, the
+    images and v_out joined by a concatenate and the spectrum padded with
+    zeros to out_dim and sorted before its absolute values are summed."""
+    images = channel.kraus_images(product_power(amps, channel.n_in))
+    A = np.concatenate([np.swapaxes(images, -1, -2), product_power(amps, channel.m_out)[..., None]], axis=-1)
+    side, k = A.shape[-2:]
+    signs = np.r_[np.ones(k - 1), -1.0]
+    T = np.linalg.qr(A, mode="r") if k < side else A
+    vals = np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
+    pad = np.zeros(vals.shape[:-1] + (side - T.shape[-2],))
+    return np.sum(np.abs(np.sort(np.concatenate([vals, pad], axis=-1), axis=-1)), axis=-1)
+
+
+@pytest.mark.parametrize("d,N,M", DELTA_ALL_SIZES)
+def test_delta_all_values_match_the_padded_solve(d, N, M, monkeypatch):
+    # the same spectra summed in another order: a few ulps apart at most
+    spec = ClonerSpec(d, N, M)
+    values = delta_all_values(spec, monkeypatch)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(64, d)) + 1j * rng.normal(size=(64, d))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    got = values(amps)
+    assert np.max(np.abs(got - padded_delta_all_values(optimal_cloner(spec), amps))) <= 1e-15
+
+
+def test_delta_all_hands_the_qr_column_major_factors(monkeypatch):
+    # the factors are the transposed view of C-contiguous rows, so each
+    # reaches the QR column-major, the layout LAPACK copies it into; a
+    # C-ordered factor (np.ascontiguousarray of the view) fails here
+    qr = np.linalg.qr
+    layouts = []
+
+    def recording(a, *args, **kwargs):
+        layouts.append((a.shape[-2:], np.swapaxes(a, -1, -2).flags.c_contiguous))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    delta_all_numeric(ClonerSpec(4, 1, 5), samples=20, seed=3)
+    assert layouts
+    assert all(shape == (56, 36) and column_major for shape, column_major in layouts)
 
 
 def test_delta_all_solves_eigenproblems_of_side_r_plus_one(monkeypatch):

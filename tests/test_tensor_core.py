@@ -21,7 +21,7 @@ from cloneopt import (
     symmetrizer,
 )
 from cloneopt.channels import traceless_hermitian_basis
-from cloneopt.tensor_core import check_dense_guard
+from cloneopt.tensor_core import _product_powers, _table, check_dense_guard
 
 
 def permutation_average(d, M):
@@ -302,6 +302,40 @@ def test_batched_product_power_matches_scalar_formula(d, N):
         assert np.allclose(row, scalar_product_power(a, N), rtol=1e-13, atol=1e-15)
     single = product_power(amps[1], N)
     assert np.allclose(single, scalar_product_power(amps[1], N), rtol=1e-13, atol=1e-15)
+
+
+def own_table_product_power(amps, N):
+    """Oracle: product_power as it was before the powers table was
+    shared, a table of powers up to N of its own."""
+    d = amps.shape[-1]
+    table = _table(d, N)
+    powers = np.ones(amps.shape + (N + 1,), dtype=complex)
+    powers[..., 1:] = np.cumprod(np.repeat(amps[..., None], N, axis=-1), axis=-1)
+    terms = powers[..., np.arange(d), table.occ]
+    return table.sqrt_multinomial * np.prod(terms, axis=-1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_shared_powers_table_is_exact(d):
+    rng = np.random.default_rng(d)
+    amps = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    for M in range(1, 13):
+        own_m = own_table_product_power(amps, M)
+        assert np.array_equal(product_power(amps, M), own_m)
+        for N in range(1, M + 1):
+            shared_n, shared_m = _product_powers(amps, N, M)
+            assert np.array_equal(shared_m, own_m)
+            if N == 2 < M:
+                # numpy rounds the one product of a length-2 running
+                # product as a plain a * a, and the first product of a
+                # longer one otherwise, so only this prefix may differ
+                # from a table of its own
+                assert np.allclose(shared_n, own_table_product_power(amps, N), rtol=0, atol=1e-15)
+            else:
+                # the running product's first N + 1 columns do not depend
+                # on how far it runs, so the order is read bit for bit
+                assert np.array_equal(shared_n, own_table_product_power(amps, N))
 
 
 # at (66, 1) occupation vectors read as binary numbers would overflow int64
