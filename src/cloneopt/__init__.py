@@ -13,7 +13,6 @@ from .errors import (
 )
 from .tolerances import (
     DEFAULT_DENSE_GUARD,
-    OMEGA_RESIDUAL_TOL,
     STATE_TOL,
     STRUCTURAL_TOL,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "CloneOptError",
     "DimensionGuardError",
     "DEFAULT_DENSE_GUARD",
-    "OMEGA_RESIDUAL_TOL",
     "STATE_TOL",
     "STRUCTURAL_TOL",
     "FULL_BASIS",

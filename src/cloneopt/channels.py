@@ -29,7 +29,7 @@ from .tensor_core import (
     sym_dimension,
     sym_embed,
 )
-from .tolerances import DEFAULT_DENSE_GUARD, OMEGA_RESIDUAL_TOL
+from .tolerances import DEFAULT_DENSE_GUARD
 
 __all__ = [
     "SU2Labels",
@@ -122,8 +122,6 @@ def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None)
 
     A full-basis output needs u^{x M} itself, which raises
     DimensionGuardError when d^M exceeds the dense guard."""
-    if channel.basis_in != SYMMETRIC_BASIS:
-        raise ChannelPropertyError("cloner-shaped channels need a symmetric input basis")
     u_in = symmetric_rep(u, channel.n_in)
     if channel.basis_out == SYMMETRIC_BASIS:
         u_out = symmetric_rep(u, channel.m_out)
@@ -187,19 +185,26 @@ def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
     return min(least, 0.0) if len(channel.kraus) < side else least
 
 
+def _rotations(channel: Channel, samples: int, seed: int, guard: int | None):
+    """Yields the rotated channels tau_u(T) for `samples` Haar unitaries u
+    drawn, in order, from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        yield conjugate_channel(channel, haar_unitary(channel.d, rng), guard)
+
+
 def twirl_choi(
     channel: Channel, samples: int = 200, seed: int = 0, guard: int | None = None
 ) -> np.ndarray:
-    """Monte-Carlo Haar average of the Choi matrices of tau_u(T) over
-    `samples` seeded unitaries.  Raises ValueError for samples < 1 and
-    DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
+    """Monte-Carlo Haar average of the Choi matrices X X^* (X = choi_factor)
+    of tau_u(T) over `samples` seeded unitaries.  Raises ValueError for
+    samples < 1 and DimensionGuardError above the dense guard."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     acc = np.zeros((check_choi_guard(channel, guard),) * 2, dtype=complex)
-    for _ in range(samples):
-        u = haar_unitary(channel.d, rng)
-        acc += choi(conjugate_channel(channel, u, guard), guard)
+    for rotated in _rotations(channel, samples, seed, guard):
+        X = choi_factor(rotated)
+        acc += X @ X.conj().T
     return acc / samples
 
 
@@ -212,14 +217,12 @@ def covariance_defect(
     as the rows of one buffer that every sample reuses, X_0 once); raises
     DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
     side = check_choi_guard(channel, guard)
-    rng = np.random.default_rng(seed)
     R = len(channel.kraus)
     rows = np.empty((2 * R, side), dtype=complex)
     _write_choi_rows(channel.kraus, rows[R:])
     worst = 0.0
-    for _ in range(samples):
-        u = haar_unitary(channel.d, rng)
-        _write_choi_rows(conjugate_channel(channel, u, guard).kraus, rows[:R])
+    for rotated in _rotations(channel, samples, seed, guard):
+        _write_choi_rows(rotated.kraus, rows[:R])
         vals = _factor_eigvalsh(rows, negative=R)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
@@ -246,14 +249,12 @@ def traceless_hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def omega_measure(
-    channel: Channel, residual_tol: float = OMEGA_RESIDUAL_TOL
-) -> float:
+def omega_measure(channel: Channel) -> float:
     """Proportionality constant between T(sum_k a_(k)) and the input-side
     generator sum_{l<=N} a_(l), fitted over a traceless Hermitian basis.
 
-    Raises ChannelPropertyError when the least-squares residual exceeds
-    the tolerance (the channel is then not covariant enough to define a
+    Raises ChannelPropertyError when the least-squares relative residual
+    exceeds 1e-8 (the channel is then not covariant enough to define a
     single omega)."""
     d = channel.d
     num = 0.0
@@ -270,7 +271,7 @@ def omega_measure(
     residual = max(
         float(np.linalg.norm(L - omega * R) / np.linalg.norm(R)) for L, R in pairs
     )
-    if residual > residual_tol:
+    if residual > 1e-8:
         raise ChannelPropertyError(
             "channel is not covariant/permutation-invariant enough to define "
             f"omega (relative residual {residual:.2e})"
@@ -403,7 +404,6 @@ def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
         d=2,
         n_in=N,
         m_out=M,
-        basis_in=SYMMETRIC_BASIS,
         basis_out=FULL_BASIS,
     )
 

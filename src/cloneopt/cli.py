@@ -22,6 +22,7 @@ from . import rep_theory as rt
 from . import serialize as se
 from . import tensor_core as tc
 from .errors import ChannelPropertyError, CloneOptError, DimensionGuardError
+from .tolerances import STRUCTURAL_TOL
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -136,7 +137,7 @@ def _cmd_cloner_apply(args):
         # cross-check the fast path against the dense oracle; raises a
         # guard error (exit 3) when d^M exceeds the requested limit
         dense = cl.dense_cloner_output(spec, np.outer(v, v.conj()), guard=args.guard)
-        if float(np.max(np.abs(rho_out - dense))) > 1e-10:
+        if float(np.max(np.abs(rho_out - dense))) > STRUCTURAL_TOL:
             raise ChannelPropertyError("fast path disagrees with the dense oracle")
     return {
         "d": args.d,
@@ -286,18 +287,18 @@ def _cmd_verify_all(args):
         expected = gamma * psi.projector() + (1 - gamma) / d * np.eye(d)
         check(
             f"marginal-closed-form-seed-{args.seed + k}",
-            float(np.max(np.abs(marg - expected))) <= 1e-10,
+            float(np.max(np.abs(marg - expected))) <= STRUCTURAL_TOL,
         )
         overlap = cl.all_clone_overlap(channel, psi)
         check(
-            f"all-clone-overlap-seed-{args.seed + k}", abs(overlap - target) <= 1e-10
+            f"all-clone-overlap-seed-{args.seed + k}", abs(overlap - target) <= STRUCTURAL_TOL
         )
-    check("trace-preserving", channel.completeness_defect() <= 1e-10)
-    check("completely-positive", ch.min_choi_eigenvalue(channel, args.guard) >= -1e-10)
+    check("trace-preserving", channel.completeness_defect() <= STRUCTURAL_TOL)
+    check("completely-positive", ch.min_choi_eigenvalue(channel, args.guard) >= -STRUCTURAL_TOL)
     check(
         "covariance-defect",
         ch.covariance_defect(channel, samples=10, seed=args.seed, guard=args.guard)
-        <= 1e-10,
+        <= STRUCTURAL_TOL,
     )
     report = oo.maximize_brute(d, N, M)
     check("omega-max-value", report.omega_max == Fraction(M + d, N + d))

@@ -28,7 +28,6 @@ from .tensor_core import (
     single_site_marginal,
     sym_dimension,
     sym_embed,
-    symmetrizer,
 )
 from .tolerances import KRAUS_ENTRY_GUARD
 
@@ -70,15 +69,14 @@ class Channel:
     kraus is one C-contiguous complex array of shape (R, out_dim, in_dim),
     operator r at kraus[r]; a sequence of equal-shape matrices is stacked
     into it once, on construction, and ragged, empty or non-3-D input
-    raises ValueError.  Basis tags name the input and output bases
-    (symmetric-occupation or full-tensor); dims carry (d, N, M).
+    raises ValueError.  The input basis is always symmetric-occupation;
+    basis_out is symmetric-occupation or full-tensor; dims carry (d, N, M).
     """
 
     kraus: np.ndarray
     d: int
     n_in: int
     m_out: int
-    basis_in: str = SYMMETRIC_BASIS
     basis_out: str = SYMMETRIC_BASIS
 
     def __post_init__(self):
@@ -137,11 +135,11 @@ class Channel:
             np.max(np.abs(np.linalg.eigvalsh(F.conj().T @ F - np.eye(self.in_dim))))
         )
 
-    def to_full_output(self, guard: int | None = None) -> "Channel":
+    def to_full_output(self) -> "Channel":
         """Expand a symmetric-occupation output basis to the full tensor basis."""
         if self.basis_out == FULL_BASIS:
             return self
-        E = sym_embed(self.d, self.m_out, guard)
+        E = sym_embed(self.d, self.m_out)
         return replace(self, kraus=E @ self.kraus, basis_out=FULL_BASIS)
 
 
@@ -189,7 +187,7 @@ def dense_cloner_output(
     check_dense_guard(d, M, guard)
     E_n = sym_embed(d, N, guard)
     E_m = sym_embed(d, M, guard)
-    S_m = symmetrizer(d, M, guard)
+    S_m = E_m @ E_m.conj().T
     rho_full = E_n @ np.asarray(rho_sym, dtype=complex) @ E_n.conj().T
     big = np.kron(rho_full, np.eye(d ** (M - N)))
     out_full = (sym_dimension(d, N) / sym_dimension(d, M)) * (S_m @ big @ S_m)
@@ -199,8 +197,6 @@ def dense_cloner_output(
 def shrinking_factor(spec: ClonerSpec) -> Fraction:
     """Exact shrinking factor N/(N+d) * (M+d)/M of the optimal cloner."""
     d, N, M = spec.d, spec.n_in, spec.m_out
-    if M == 0:
-        raise ValueError("M must be positive")
     return Fraction(N, N + d) * Fraction(M + d, M)
 
 
@@ -337,15 +333,14 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     scores go along, and refinement scores the chains' steps ahead in
     calls of at most max(chunk, 5) states (fewer where a chunk exceeds
     _CHUNK_BYTES), so no values() call of a run holds more states than a
-    chunk and its five chains.  Only the running maximum and the five
-    best outlive a chunk, so memory does not grow with samples.  values
-    maps amplitudes (B, d) to B values."""
+    chunk and its five chains.  Only the five best, which refinement
+    never scores below, outlive a chunk, so memory does not grow with
+    samples.  values maps amplitudes (B, d) to B values."""
     if samples <= 0:
         return 0.0
     d, chunk_size = channel.d, _chunk_size(channel)
     draws, *chains = np.random.SeedSequence(seed).spawn(6)
     rng = np.random.default_rng(draws)
-    best = -np.inf
     top_states = np.empty((0, d), dtype=complex)
     top_scores = np.empty(0)
     for k in range(0, samples, chunk_size):
@@ -353,7 +348,6 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
         chunk = z[:, 0] + 1j * z[:, 1]
         chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         scores = values(chunk)
-        best = np.maximum(best, scores.max())
         # earlier samples come first, so the stable sort keeps ties in sample order
         top_states = np.concatenate([top_states, chunk])
         top_scores = np.concatenate([top_scores, scores])
@@ -366,7 +360,7 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     # state, so such channels refine in lockstep, 5 states per call.
     batch = min(chunk_size, _states_in_budget(channel))
     refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)], batch=batch)
-    return float(max(0.0, best, refined.max()))
+    return float(max(0.0, refined.max()))
 
 
 def delta_all_numeric(

@@ -187,7 +187,7 @@ def enumerate_W1(d: int, N: int, M: int) -> list[CandidatePoint]:
     ]
 
 
-def _report(d, N, M, best, maximizers, count) -> OmegaReport:
+def _report(d, N, M, maximizers, count) -> OmegaReport:
     omega = omega_of_point(maximizers[0], d, N, M)
     gamma = gamma_from_omega(omega, N, M)
     return OmegaReport(
@@ -222,7 +222,7 @@ def maximize_brute(d: int, N: int, M: int) -> OmegaReport:
         if top == best:
             ties = mu[values == top].tolist()
             maximizers.extend(CandidatePoint(m, tuple(row)) for row in ties)
-    return _report(d, N, M, best, maximizers, count)
+    return _report(d, N, M, maximizers, count)
 
 
 # ---------------------------------------------------------------------------

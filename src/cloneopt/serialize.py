@@ -12,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cloner import Channel
+from .errors import BasisError
 from .omega_opt import OmegaReport
+from .tensor_core import SYMMETRIC_BASIS
 
 __all__ = [
     "fraction_pair",
@@ -63,19 +65,23 @@ def channel_to_json(channel: Channel) -> dict:
         "d": channel.d,
         "n": channel.n_in,
         "m": channel.m_out,
-        "basis_in": channel.basis_in,
+        "basis_in": SYMMETRIC_BASIS,
         "basis_out": channel.basis_out,
         "kraus": [matrix_to_json(K) for K in channel.kraus],
     }
 
 
 def channel_from_json(obj: dict) -> Channel:
+    """Raises BasisError unless basis_in is the symmetric occupation basis."""
+    if obj["basis_in"] != SYMMETRIC_BASIS:
+        raise BasisError(
+            f"channel input basis must be {SYMMETRIC_BASIS!r}, got {obj['basis_in']!r}"
+        )
     return Channel(
         kraus=[matrix_from_json(k) for k in obj["kraus"]],
         d=int(obj["d"]),
         n_in=int(obj["n"]),
         m_out=int(obj["m"]),
-        basis_in=obj["basis_in"],
         basis_out=obj["basis_out"],
     )
 

@@ -14,7 +14,6 @@ bounds the summands pieri_branch lists.
 
 STRUCTURAL_TOL = 1e-10
 STATE_TOL = 1e-12
-OMEGA_RESIDUAL_TOL = 1e-8
 
 DEFAULT_DENSE_GUARD = 4096
 KRAUS_ENTRY_GUARD = 2**20

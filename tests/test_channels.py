@@ -690,6 +690,41 @@ def test_factor_callers_match_the_padded_solve_bit_for_bit(channel):
         assert covariance_defect(channel, samples=3, seed=seed).hex() == worst.hex()
 
 
+def looped_twirl_choi(channel, samples, seed):
+    """Oracle: twirl_choi as it was, drawing its own unitaries and taking
+    each rotated Choi matrix through choi()."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros((channel.in_dim * channel.out_dim,) * 2, dtype=complex)
+    for _ in range(samples):
+        u = haar_unitary(channel.d, rng)
+        acc += choi(conjugate_channel(channel, u))
+    return acc / samples
+
+
+def looped_covariance_defect(channel, samples, seed):
+    """Oracle: covariance_defect as it was, drawing its own unitaries."""
+    rng = np.random.default_rng(seed)
+    R = len(channel.kraus)
+    rows = np.empty((2 * R, channel.in_dim * channel.out_dim), dtype=complex)
+    rows[R:] = choi_rows(channel)
+    worst = 0.0
+    for _ in range(samples):
+        u = haar_unitary(channel.d, rng)
+        rows[:R] = choi_rows(conjugate_channel(channel, u))
+        vals = _factor_eigvalsh(rows, negative=R)
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
+
+
+@pytest.mark.parametrize("channel", factor_test_channels())
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rotation_loop_matches_the_loops_it_replaced(channel, seed):
+    assert covariance_defect(channel, samples=4, seed=seed).hex() == \
+        looped_covariance_defect(channel, 4, seed).hex()
+    assert np.array_equal(twirl_choi(channel, samples=4, seed=seed),
+                          looped_twirl_choi(channel, 4, seed))
+
+
 def test_conjugation_matches_dense_oracle():
     channel = constant_output_channel(3, 1, 3)
     u = haar_unitary(3, np.random.default_rng(4))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cloneopt import (
+    BasisError,
     Channel,
     ClonerSpec,
     SU2Labels,
@@ -144,7 +145,8 @@ def test_verify_all():
 
 # sha256 of stdout, recorded before Channel stored its Kraus operators as
 # one stack.  channel defect|twirl are left out: their round-off-level
-# estimates differ between one and two BLAS threads at some sizes.
+# estimates differ between one and two BLAS threads at some sizes, so
+# test_defect_twirl_stdout_digest_pinned pins them at one thread.
 @pytest.mark.parametrize("argv,digest", [
     ("verify all --d 2 --n 1 --m 3",
      "8a2a3cfcda9f80934ef1b3d9c0d2e3fd6729533adbd87e6a3316f1cc9f3d99ef"),
@@ -175,6 +177,49 @@ def test_stdout_digest_pinned(argv, digest):
     code, out = capture(argv.split() + ["--seed", "5"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout at --samples 5, recorded at one BLAS thread before
+# twirl_choi and covariance_defect shared one rotation loop
+DEFECT_TWIRL_DIGESTS = {
+    "channel defect --d 3 --n 2 --m 4 --seed 0":
+        "15fcd76eea60179c3f2253bd06ca62da95592ff65c0e684bd107aa224fcac430",
+    "channel defect --d 3 --n 2 --m 4 --seed 7":
+        "14d6307a4bdbd1c48bfd6043023d52340da62384be94ae0ee27452c37808d913",
+    "channel defect --d 3 --n 1 --m 5 --seed 0":
+        "45e153788b423f2332e97677c63102706fcd85015b3ec592856a03c25aafbac1",
+    "channel defect --d 3 --n 1 --m 5 --seed 7":
+        "828e9d9ff1db36a6c878376de5167b7d27b7c8a3143525b4d03144fe5fd0aa08",
+    "channel twirl --d 3 --n 2 --m 4 --seed 0":
+        "f2b6ac80fdd0fb757848da2f08db0f1e7dc502107189842fd3e2ce765c4db2c2",
+    "channel twirl --d 3 --n 2 --m 4 --seed 7":
+        "9be472e0d7dff420ffa9b587c7578719fbf5cfa1c238f323f8ffc4c979fb7056",
+    "channel twirl --d 3 --n 1 --m 5 --seed 0":
+        "e7e457bfa42cbdcaac953b9d7ffbd9f32e4cb7f61e1efc2d65ea9020ec2f464b",
+    "channel twirl --d 3 --n 1 --m 5 --seed 7":
+        "f298d95563d28601c04981bd0869b7cb57c719c4d82b1b06daed3303e0ab74cd",
+}
+
+# run in the child: one line per argv, its exit code and stdout's sha256
+DIGEST_SCRIPT = """
+import hashlib, io, sys
+from contextlib import redirect_stdout
+from cloneopt.cli import run
+for argv in sys.argv[1:]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv.split())
+    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+
+
+def test_defect_twirl_stdout_digest_pinned():
+    # one child process for all eight, on run_child's one BLAS thread
+    proc = run_child("-c", DIGEST_SCRIPT,
+                     *(argv + " --samples 5" for argv in DEFECT_TWIRL_DIGESTS))
+    assert proc.returncode == 0, proc.stderr
+    got = dict(zip(DEFECT_TWIRL_DIGESTS, proc.stdout.splitlines()))
+    assert got == {argv: f"0 {digest}" for argv, digest in DEFECT_TWIRL_DIGESTS.items()}
 
 
 def test_byte_identical_reproducibility():
@@ -242,9 +287,14 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_child(*argv, env=None):
     # a separate process, so that a run past the guard is killed at 10 s
     # and every line it writes to stderr (warnings too) is seen; env adds
-    # variables to the child's environment
-    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    # variables to the child's environment.  Children run on one BLAS
+    # thread, so their time does not depend on how busy the other cores
+    # are: on 2 cores the (3, 1, 33) defect edge took 1.9 s idle and
+    # 4.9 s beside one busy process with default threads, 2.5-3.0 s in
+    # both with one
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", **(env or {}),
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
         [sys.executable, *map(str, argv)],
         capture_output=True, text=True, timeout=10, env=env,
@@ -434,6 +484,14 @@ def test_channel_roundtrip():
         doc = channel_to_json(channel)
         assert len(doc["kraus"]) == len(channel.kraus) > 0
         assert np.array_equal(channel_from_json(doc).kraus, channel.kraus)
+
+
+def test_channel_from_json_rejects_another_input_basis():
+    doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
+    assert doc["basis_in"] == "symmetric-occupation"
+    doc["basis_in"] = "full-tensor"
+    with pytest.raises(BasisError):
+        channel_from_json(doc)
 
 
 def test_channel_from_json_rejects_ragged_kraus():
