@@ -393,10 +393,8 @@ def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
         raise ValueError(f"gamma must equal N/2 = {Fraction(N, 2)}, got {gamma}")
     if 2 * alpha > M:
         raise ValueError(f"alpha = {alpha} exceeds M/2 = {Fraction(M, 2)}")
-    if not (abs(alpha - beta) <= gamma <= alpha + beta):
-        raise ValueError(f"triangle condition violated for ({alpha}, {beta}, {gamma})")
-    W = spin_embedding(alpha, M)
     V = su2_coupling_isometry(alpha, beta, gamma)
+    W = spin_embedding(alpha, M)
     da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma) + 1
     V3 = V.reshape(da, db, dg)
     return Channel(

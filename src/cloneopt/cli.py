@@ -438,7 +438,7 @@ def run(argv: list[str] | None = None) -> int:
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ChannelPropertyError, CloneOptError) as exc:
+    except CloneOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -226,7 +226,7 @@ def maximize_brute(d: int, N: int, M: int) -> OmegaReport:
 
 
 # ---------------------------------------------------------------------------
-# Greedy ascent via the case moves of the exchange argument
+# Greedy ascent: box transfers on m, mu re-optimized exactly at each m
 # ---------------------------------------------------------------------------
 
 
@@ -252,62 +252,25 @@ def _best_mu(d: int, N: int, m: tuple[int, ...]) -> list[int]:
     return mu
 
 
-def _improve_mu(point: CandidatePoint) -> CandidatePoint:
-    """Exchange moves on mu (slot-to-slot transfers), each strictly
-    increasing F2, until no improving exchange remains.
-
-    The classical Case A move (drain the last slot into an unsaturated
-    earlier slot) is the special case donor = d; general donors are
-    needed to escape plateaus that the literal case list leaves behind.
-    """
-    d = point.d
-    m = point.m
-    mu = list(point.mu)
-    caps = [m[k] - m[k + 1] for k in range(d - 1)] + [sum(mu)]
-    current = f2(CandidatePoint(m, tuple(mu)))
-    while True:
-        best = None  # (gain, donor, recipient)
-        for j in range(d):
-            if mu[j] == 0:
-                continue
-            for i in range(d):
-                if i == j or mu[i] >= caps[i]:
-                    continue
-                mu[j] -= 1
-                gain = _mu_gain(m, mu, i) - _mu_gain(m, mu, j)
-                mu[j] += 1
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, j, i)
-        if best is None:
-            return CandidatePoint(m, tuple(mu))
-        _, j, i = best
-        mu[j] -= 1
-        mu[i] += 1
-        new = f2(CandidatePoint(m, tuple(mu)))
-        assert new > current, "exchange move failed to increase F2"
-        current = new
-
-
 def maximize_greedy(
     d: int, N: int, M: int, start: CandidatePoint | None = None
 ) -> CandidatePoint:
-    """Ascend to the F2 maximizer by strictly increasing local moves.
+    """Ascend to the F2 maximizer by strictly increasing box transfers.
 
-    Inner moves re-shuffle mu at fixed m (exchange moves); outer moves
-    transfer one box of m downward-to-upward (m_j + 1, m_k - 1 with
-    j < k, dominance preserved) with mu re-optimized exactly.  Every
-    applied move strictly increases F2, so the ascent terminates; grid
-    tests pin agreement with the brute-force maximizer.
+    Only the start's m is used: at every m, mu is the exact fixed-m
+    maximizer _best_mu.  Each move transfers one box of m downward-to-upward
+    (m_j + 1, m_k - 1 with j < k, dominance preserved).  Every applied
+    move strictly increases F2, so the ascent terminates; grid tests pin
+    agreement with the brute-force maximizer.
     """
     if N < 1:
         raise ValueError("maximization needs N >= 1")
     if start is None:
         base, extra = divmod(M, d)
         m0 = tuple(base + 1 if k < extra else base for k in range(d))
-        start = CandidatePoint(m0, tuple(_best_mu(d, N, m0)))
+        start = CandidatePoint(m0, (0,) * (d - 1) + (N,))
     start.validate(d, N, M)
-
-    point = _improve_mu(start)
+    point = CandidatePoint(start.m, tuple(_best_mu(d, N, start.m)))
     current = f2(point)
     while True:
         best = None  # (value, point)

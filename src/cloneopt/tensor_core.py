@@ -11,7 +11,6 @@ occupation basis is ordered reverse-lexicographically everywhere.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +68,6 @@ class _OccupationTable:
                     yield (first,) + rest
 
         self.basis = tuple(_gen(d, N))
-        self.index = {n: j for j, n in enumerate(self.basis)}
         self.occ = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), d)
         self.sqrt_multinomial = np.array([
             math.sqrt(math.factorial(N) / math.prod(math.factorial(k) for k in n))
@@ -118,7 +116,7 @@ def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
 
 def occupation_index(d: int, N: int) -> dict[tuple[int, ...], int]:
     """Map occupation vector -> position in occupation_basis(d, N)."""
-    return dict(_table(d, N).index)
+    return {n: j for j, n in enumerate(_table(d, N).basis)}
 
 
 def check_dense_guard(d: int, M: int, guard: int | None = None) -> None:
@@ -183,20 +181,6 @@ class DensityOperator:
             )
 
 
-def _word_index(word: tuple[int, ...], d: int) -> int:
-    idx = 0
-    for s in word:
-        idx = idx * d + s
-    return idx
-
-
-def _counts(word, d: int) -> tuple[int, ...]:
-    c = [0] * d
-    for s in word:
-        c[s] += 1
-    return tuple(c)
-
-
 def sym_embed(d: int, N: int, guard: int | None = None) -> np.ndarray:
     """Isometry E from the occupation basis into (C^d)^{x N}.
 
@@ -204,13 +188,17 @@ def sym_embed(d: int, N: int, guard: int | None = None) -> np.ndarray:
     puts amplitude sqrt(prod n_i! / N!) on each distinct ordering.
     """
     check_dense_guard(d, N, guard)
-    index = occupation_index(d, N)
-    E = np.zeros((d**N, len(index)), dtype=complex)
+    basis = _table(d, N).basis
+    # row r is the word whose letters are the base-d digits of r
+    words = np.indices((d,) * N).reshape(N, d**N).T
+    counts = np.stack([np.count_nonzero(words == a, axis=1) for a in range(d)], axis=1)
     fact_N = math.factorial(N)
-    for word in itertools.product(range(d), repeat=N):
-        n = _counts(word, d)
-        amp = math.sqrt(math.prod(math.factorial(k) for k in n) / fact_N)
-        E[_word_index(word, d), index[n]] = amp
+    amps = np.array([
+        math.sqrt(math.prod(math.factorial(k) for k in n) / fact_N) for n in basis
+    ])
+    cols = _rank(counts, N)
+    E = np.zeros((d**N, len(basis)), dtype=complex)
+    E[np.arange(d**N), cols] = amps[cols]
     return E
 
 

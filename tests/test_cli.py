@@ -494,6 +494,14 @@ def test_channel_from_json_rejects_another_input_basis():
         channel_from_json(doc)
 
 
+@pytest.mark.parametrize("basis_out", ["sym", "", "Full-Tensor", None])
+def test_channel_from_json_rejects_another_output_basis(basis_out):
+    doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
+    doc["basis_out"] = basis_out
+    with pytest.raises(BasisError, match="output basis"):
+        channel_from_json(doc)
+
+
 def test_channel_from_json_rejects_ragged_kraus():
     doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
     doc["kraus"][1] = matrix_to_json(np.eye(2))

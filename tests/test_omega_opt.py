@@ -21,6 +21,7 @@ from cloneopt import (
 )
 from cloneopt import omega_opt
 from cloneopt.omega_opt import gamma_from_omega, random_feasible_point
+from cloneopt.rep_theory import is_dominant
 
 
 def top_point(d, N, M):
@@ -213,6 +214,75 @@ def test_greedy_from_random_starts(d, N, M):
 def test_greedy_fixed_point():
     p = top_point(3, 2, 5)
     assert maximize_greedy(3, 2, 5, start=p) == p
+
+
+def exchange_mu(point):
+    """Oracle: the former fixed-m search, exchange moves on mu (slot-to-slot
+    transfers), each strictly increasing F2, until none improves."""
+    d, m, mu = point.d, point.m, list(point.mu)
+    caps = [m[k] - m[k + 1] for k in range(d - 1)] + [sum(mu)]
+    current = f2(CandidatePoint(m, tuple(mu)))
+    while True:
+        best = None  # (gain, donor, recipient)
+        for j in range(d):
+            if mu[j] == 0:
+                continue
+            for i in range(d):
+                if i == j or mu[i] >= caps[i]:
+                    continue
+                mu[j] -= 1
+                gain = omega_opt._mu_gain(m, mu, i) - omega_opt._mu_gain(m, mu, j)
+                mu[j] += 1
+                if gain > 0 and (best is None or gain > best[0]):
+                    best = (gain, j, i)
+        if best is None:
+            return CandidatePoint(m, tuple(mu))
+        _, j, i = best
+        mu[j] -= 1
+        mu[i] += 1
+        new = f2(CandidatePoint(m, tuple(mu)))
+        assert new > current, "exchange move failed to increase F2"
+        current = new
+
+
+def exchange_greedy(d, N, M, start):
+    """Oracle: the former greedy, exchange moves on the start's mu, then
+    box transfers on m with mu re-optimized by _best_mu."""
+    start.validate(d, N, M)
+    point = exchange_mu(start)
+    current = f2(point)
+    while True:
+        best = None
+        for k in range(1, d):
+            for j in range(k):
+                cand = list(point.m)
+                cand[j] += 1
+                cand[k] -= 1
+                if cand[-1] < 0 or not is_dominant(tuple(cand)):
+                    continue
+                cand_point = CandidatePoint(cand, tuple(omega_opt._best_mu(d, N, tuple(cand))))
+                val = f2(cand_point)
+                if val > current and (best is None or val > best[0]):
+                    best = (val, cand_point)
+        if best is None:
+            return point
+        current, point = best
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_greedy_matches_exchange_oracle(d):
+    # 1 <= N, M <= 12 (N > M included), 20 seeded starts each: 2,880 per d
+    for N in range(1, 13):
+        for M in range(1, 13):
+            points = enumerate_W1(d, N, M)
+            # the balanced partition with its best mu, the former default start
+            m0 = tuple(M // d + (k < M % d) for k in range(d))
+            default = CandidatePoint(m0, tuple(omega_opt._best_mu(d, N, m0)))
+            assert maximize_greedy(d, N, M) == exchange_greedy(d, N, M, default)
+            for seed in range(20):
+                start = points[np.random.default_rng(seed).integers(len(points))]
+                assert maximize_greedy(d, N, M, start) == exchange_greedy(d, N, M, start), (
+                    d, N, M, seed)
 
 
 def test_omega_su2_values():

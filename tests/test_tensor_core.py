@@ -13,6 +13,7 @@ from cloneopt import (
     PureState,
     haar_state,
     occupation_basis,
+    occupation_index,
     one_body_operator,
     product_power,
     single_site_marginal,
@@ -100,6 +101,29 @@ def test_sym_embed_isometry(d, N):
     assert np.allclose(
         E.conj().T @ symmetrizer(d, N) @ E, np.eye(E.shape[1]), atol=1e-12
     )
+
+
+def loop_sym_embed(d, N):
+    """Oracle: the word-by-word construction, one Python step per word of
+    (C^d)^{x N}, with its own occupation index dict."""
+    index = {n: j for j, n in enumerate(occupation_basis(d, N))}
+    E = np.zeros((d**N, len(index)), dtype=complex)
+    fact_N = math.factorial(N)
+    for word in itertools.product(range(d), repeat=N):
+        row = 0
+        for s in word:
+            row = row * d + s
+        n = tuple(word.count(a) for a in range(d))
+        E[row, index[n]] = math.sqrt(math.prod(math.factorial(k) for k in n) / fact_N)
+    return E, index
+
+
+@pytest.mark.parametrize("d,N", [(d, N) for d in range(2, 9) for N in range(13)
+                                 if d**N <= 4096])
+def test_sym_embed_matches_word_loop(d, N):
+    E, index = loop_sym_embed(d, N)
+    assert np.array_equal(sym_embed(d, N), E)
+    assert occupation_index(d, N) == index
 
 
 def test_sym_embed_column_amplitudes():
