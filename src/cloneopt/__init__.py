@@ -23,21 +23,16 @@ from .tensor_core import (
     PureState,
     haar_state,
     occupation_basis,
-    occupation_index,
     one_body_operator,
     product_power,
     single_site_marginal,
     sym_dimension,
     sym_embed,
-    symmetrizer,
 )
 from .rep_theory import (
     adjoint_multiplicity,
     casimirs,
-    conjugate_weight,
-    contains_sym,
     fund_power_multiplicity,
-    normalized_conjugate,
     parse_weight,
     pieri_branch,
     weyl_dimension,
@@ -48,7 +43,6 @@ from .cloner import (
     all_clone_overlap,
     delta_all_numeric,
     delta_one_closed_form,
-    dense_cloner_output,
     optimal_cloner,
     shrinking_factor,
     single_clone_marginal,
@@ -58,7 +52,6 @@ from .channels import (
     choi,
     covariance_defect,
     delta_one_numeric,
-    haar_unitary,
     omega_measure,
     su2_component_cloner,
 )
@@ -90,19 +83,14 @@ __all__ = [
     "PureState",
     "haar_state",
     "occupation_basis",
-    "occupation_index",
     "one_body_operator",
     "product_power",
     "single_site_marginal",
     "sym_dimension",
     "sym_embed",
-    "symmetrizer",
     "adjoint_multiplicity",
     "casimirs",
-    "conjugate_weight",
-    "contains_sym",
     "fund_power_multiplicity",
-    "normalized_conjugate",
     "parse_weight",
     "pieri_branch",
     "weyl_dimension",
@@ -111,7 +99,6 @@ __all__ = [
     "all_clone_overlap",
     "delta_all_numeric",
     "delta_one_closed_form",
-    "dense_cloner_output",
     "optimal_cloner",
     "shrinking_factor",
     "single_clone_marginal",
@@ -119,7 +106,6 @@ __all__ = [
     "choi",
     "covariance_defect",
     "delta_one_numeric",
-    "haar_unitary",
     "omega_measure",
     "su2_component_cloner",
     "CandidatePoint",

@@ -26,30 +26,22 @@ from .tensor_core import (
     one_body_operator,
     product_power,
     single_site_marginal,
-    sym_dimension,
     sym_embed,
 )
 from .tolerances import DEFAULT_DENSE_GUARD
 
 __all__ = [
     "SU2Labels",
-    "haar_unitary",
     "symmetric_rep",
     "kron_power",
-    "conjugate_channel",
     "check_choi_guard",
     "choi",
     "min_choi_eigenvalue",
-    "choi_factor",
     "twirl_choi",
     "covariance_defect",
     "omega_measure",
     "delta_one_numeric",
-    "traceless_hermitian_basis",
     "su2_component_cloner",
-    "su2_coupling_isometry",
-    "spin_embedding",
-    "constant_output_channel",
 ]
 
 
@@ -404,12 +396,3 @@ def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
         m_out=M,
         basis_out=FULL_BASIS,
     )
-
-
-def constant_output_channel(d: int, N: int, M: int) -> Channel:
-    """Channel mapping every input to the first occupation basis state of
-    the output; a deliberately non-covariant test subject."""
-    in_dim = sym_dimension(d, N)
-    kraus = np.zeros((in_dim, sym_dimension(d, M), in_dim), dtype=complex)
-    kraus[np.arange(in_dim), 0, np.arange(in_dim)] = 1.0
-    return Channel(kraus=kraus, d=d, n_in=N, m_out=M)

@@ -21,7 +21,7 @@ from . import omega_opt as oo
 from . import rep_theory as rt
 from . import serialize as se
 from . import tensor_core as tc
-from .errors import ChannelPropertyError, CloneOptError, DimensionGuardError
+from .errors import CloneOptError, DimensionGuardError
 from .tolerances import STRUCTURAL_TOL
 
 EXIT_OK = 0
@@ -35,7 +35,11 @@ class UsageError(Exception):
 
 
 def _parse_spin(text: str) -> Fraction:
+    # Fraction expands an exponent to all its digits: "1e10000000" alone
+    # takes seconds, so a spin has none
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse spin {text!r}") from exc
@@ -45,7 +49,10 @@ def _parse_state(text: str, d: int) -> tc.PureState:
     """Pure-state amplitudes from inline JSON or a file path."""
     raw = text.strip()
     if not raw.startswith(("[", "{")):
-        raw = Path(text).read_text()
+        try:
+            raw = Path(text).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read state file {text!r}: {exc.strerror}") from exc
     try:
         amps = se.vector_from_json(json.loads(raw))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -131,14 +138,7 @@ def _cmd_cloner_apply(args):
     spec = _cloner_spec(args)
     psi = _input_state(args)
     channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before any state is built
-    v = tc.product_power(psi, args.n)
-    rho_out = channel.apply_fast(v)
-    if args.guard is not None:
-        # cross-check the fast path against the dense oracle; raises a
-        # guard error (exit 3) when d^M exceeds the requested limit
-        dense = cl.dense_cloner_output(spec, np.outer(v, v.conj()), guard=args.guard)
-        if float(np.max(np.abs(rho_out - dense))) > STRUCTURAL_TOL:
-            raise ChannelPropertyError("fast path disagrees with the dense oracle")
+    rho_out = channel.apply_fast(tc.product_power(psi, args.n))
     return {
         "d": args.d,
         "n": args.n,
@@ -347,15 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cloner", help="optimal cloner construction and constants")
     subc = pc.add_subparsers(dest="subcommand", required=True)
-    for name, handler, has_state, guard in [
-        ("constants", _cmd_cloner_constants, False, False),
-        ("apply", _cmd_cloner_apply, True, True),
-        ("marginal", _cmd_cloner_marginal, True, False),
-        ("overlap", _cmd_cloner_overlap, True, False),
+    for name, handler, has_state in [
+        ("constants", _cmd_cloner_constants, False),
+        ("apply", _cmd_cloner_apply, True),
+        ("marginal", _cmd_cloner_marginal, True),
+        ("overlap", _cmd_cloner_overlap, True),
     ]:
         p = subc.add_parser(name)
         # --seed draws the input state when --state is absent
-        _add_common(p, seed=has_state, guard=guard)
+        _add_common(p, seed=has_state)
         if has_state:
             p.add_argument("--state", type=str, default=None,
                            help="inline JSON amplitudes or a file path")

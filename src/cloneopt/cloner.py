@@ -2,8 +2,8 @@
 
 The optimal cloner maps a state rho on the N-fold symmetric input space
 to (d[N]/d[M]) S_M (rho x 1) S_M on the M-fold output space.  It is
-constructed here directly in the occupation bases (fast path); the dense
-full-tensor construction is kept as an oracle.
+constructed here directly in the occupation bases; the dense
+full-tensor construction is the tests' oracle.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionGuardError
+from .errors import BasisError, DimensionGuardError
 from .omega_opt import delta_one_from_gamma
 from .tensor_core import (
     FULL_BASIS,
@@ -23,7 +23,6 @@ from .tensor_core import (
     _product_powers,
     _rank,
     _table,
-    check_dense_guard,
     product_power,
     single_site_marginal,
     sym_dimension,
@@ -35,7 +34,6 @@ __all__ = [
     "ClonerSpec",
     "Channel",
     "optimal_cloner",
-    "dense_cloner_output",
     "shrinking_factor",
     "delta_one_closed_form",
     "single_clone_marginal",
@@ -70,7 +68,9 @@ class Channel:
     operator r at kraus[r]; a sequence of equal-shape matrices is stacked
     into it once, on construction, and ragged, empty or non-3-D input
     raises ValueError.  The input basis is always symmetric-occupation;
-    basis_out is symmetric-occupation or full-tensor; dims carry (d, N, M).
+    basis_out is symmetric-occupation or full-tensor, else BasisError;
+    dims carry (d, N, M), and a stack whose (out_dim, in_dim) are not
+    theirs raises ValueError.
     """
 
     kraus: np.ndarray
@@ -85,6 +85,21 @@ class Channel:
             raise ValueError(
                 "Kraus operators must form a non-empty (R, out_dim, in_dim) stack, "
                 f"got shape {self.kraus.shape}"
+            )
+        if self.basis_out == SYMMETRIC_BASIS:
+            out_dim = sym_dimension(self.d, self.m_out)
+        elif self.basis_out == FULL_BASIS:
+            out_dim = self.d**self.m_out
+        else:
+            raise BasisError(
+                f"channel output basis must be {SYMMETRIC_BASIS!r} or {FULL_BASIS!r}, "
+                f"got {self.basis_out!r}"
+            )
+        dims = (out_dim, sym_dimension(self.d, self.n_in))
+        if self.kraus.shape[1:] != dims:
+            raise ValueError(
+                f"Kraus operators of shape {self.kraus.shape[1:]} do not map "
+                f"(d, N, M) = ({self.d}, {self.n_in}, {self.m_out}), which needs {dims}"
             )
 
     @property
@@ -176,22 +191,6 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     kraus = np.zeros((count, dim_m, dim_n), dtype=complex)
     kraus[np.arange(count)[:, None], rows, np.arange(dim_n)] = np.sqrt(coeff * weights)
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
-
-
-def dense_cloner_output(
-    spec: ClonerSpec, rho_sym: np.ndarray, guard: int | None = None
-) -> np.ndarray:
-    """Oracle: (d[N]/d[M]) S_M (rho x 1) S_M, compressed back to the
-    occupation basis of the output.  Requires d**M within the guard."""
-    d, N, M = spec.d, spec.n_in, spec.m_out
-    check_dense_guard(d, M, guard)
-    E_n = sym_embed(d, N, guard)
-    E_m = sym_embed(d, M, guard)
-    S_m = E_m @ E_m.conj().T
-    rho_full = E_n @ np.asarray(rho_sym, dtype=complex) @ E_n.conj().T
-    big = np.kron(rho_full, np.eye(d ** (M - N)))
-    out_full = (sym_dimension(d, N) / sym_dimension(d, M)) * (S_m @ big @ S_m)
-    return E_m.conj().T @ out_full @ E_m
 
 
 def shrinking_factor(spec: ClonerSpec) -> Fraction:

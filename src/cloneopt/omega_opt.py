@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionGuardError
-from .rep_theory import check_dominant, conjugate_weight, is_dominant
+from .rep_theory import check_dominant, is_dominant
 
 __all__ = [
     "CandidatePoint",
@@ -31,10 +31,7 @@ __all__ = [
     "enumerate_W1",
     "maximize_brute",
     "maximize_greedy",
-    "random_feasible_point",
     "omega_su2",
-    "DEFAULT_M_GUARD",
-    "DEFAULT_D_GUARD",
 ]
 
 DEFAULT_M_GUARD = 30
@@ -58,12 +55,6 @@ class CandidatePoint:
     @property
     def d(self) -> int:
         return len(self.m)
-
-    def conj_partner(self) -> tuple[int, ...]:
-        """Highest weight n of the auxiliary representation: the
-        conjugate of m - mu."""
-        tilde = tuple(self.m[k] - self.mu[k] for k in range(self.d))
-        return conjugate_weight(tilde)
 
     def validate(self, d: int, N: int, M: int) -> None:
         if self.d != d:
@@ -291,19 +282,6 @@ def maximize_greedy(
             return point
         assert best[0] > current, "box-transfer move failed to increase F2"
         current, point = best
-
-
-def random_feasible_point(d: int, N: int, M: int, seed: int) -> CandidatePoint:
-    """A uniformly sampled feasible pair (m, mu), for greedy-start tests:
-    the label at index default_rng(seed).integers(count) of the
-    enumeration order."""
-    rng = np.random.default_rng(seed)
-    blocks = list(_label_blocks(d, N, M))
-    index = int(rng.integers(sum(len(mu) for _, mu in blocks)))
-    for m, mu in blocks:
-        if index < len(mu):
-            return CandidatePoint(m, tuple(mu[index].tolist()))
-        index -= len(mu)
 
 
 def omega_su2(alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:

@@ -15,17 +15,12 @@ from .tolerances import BRANCH_SUMMAND_GUARD
 __all__ = [
     "is_dominant",
     "check_dominant",
-    "conjugate_weight",
-    "normalized_conjugate",
     "casimirs",
     "weyl_dimension",
-    "pieri_count",
     "pieri_branch",
-    "contains_sym",
     "fund_power_multiplicity",
     "adjoint_multiplicity",
     "parse_weight",
-    "normalize_weight",
 ]
 
 
@@ -40,23 +35,6 @@ def check_dominant(m: tuple[int, ...]) -> tuple[int, ...]:
     if not is_dominant(m):
         raise ValueError(f"weight {m} is not non-increasing")
     return m
-
-
-def conjugate_weight(m: tuple[int, ...]) -> tuple[int, ...]:
-    """Highest weight (-m_d, ..., -m_1) of the conjugate representation."""
-    m = check_dominant(m)
-    return tuple(-x for x in reversed(m))
-
-
-def normalize_weight(m: tuple[int, ...]) -> tuple[int, ...]:
-    """Shift so that the last component is zero (SU(d) normalization)."""
-    m = check_dominant(m)
-    return tuple(x - m[-1] for x in m)
-
-
-def normalized_conjugate(m: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate weight shifted to the m_d = 0 normalization."""
-    return normalize_weight(conjugate_weight(m))
 
 
 def casimirs(m: tuple[int, ...]) -> tuple[int, int, Fraction]:
@@ -141,19 +119,6 @@ def pieri_branch(N: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:
 
     _extend(0, N, ())
     return out
-
-
-def contains_sym(m: tuple[int, ...], n: tuple[int, ...], N: int) -> bool:
-    """Whether the N-fold symmetric power is contained in pi_m x pi_n.
-
-    Decided via the equivalence with pi_m contained in
-    (symmetric power) x conj(pi_n), checked by Pieri branching.
-    """
-    m = check_dominant(m)
-    n = check_dominant(n)
-    if len(m) != len(n):
-        raise ValueError("weights must have equal length")
-    return m in pieri_branch(N, conjugate_weight(n))
 
 
 @lru_cache(maxsize=None)

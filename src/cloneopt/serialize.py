@@ -14,12 +14,11 @@ import numpy as np
 from .cloner import Channel
 from .errors import BasisError
 from .omega_opt import OmegaReport
-from .tensor_core import FULL_BASIS, SYMMETRIC_BASIS
+from .tensor_core import SYMMETRIC_BASIS
 
 __all__ = [
     "fraction_pair",
     "matrix_to_json",
-    "matrix_from_json",
     "vector_from_json",
     "channel_to_json",
     "channel_from_json",
@@ -72,16 +71,11 @@ def channel_to_json(channel: Channel) -> dict:
 
 
 def channel_from_json(obj: dict) -> Channel:
-    """Raises BasisError unless basis_in is the symmetric occupation basis
-    and basis_out is the symmetric occupation or the full tensor basis."""
+    """Raises BasisError unless basis_in is the symmetric occupation basis;
+    Channel checks basis_out and the shape of the Kraus stack."""
     if obj["basis_in"] != SYMMETRIC_BASIS:
         raise BasisError(
             f"channel input basis must be {SYMMETRIC_BASIS!r}, got {obj['basis_in']!r}"
-        )
-    if obj["basis_out"] not in (SYMMETRIC_BASIS, FULL_BASIS):
-        raise BasisError(
-            f"channel output basis must be {SYMMETRIC_BASIS!r} or {FULL_BASIS!r}, "
-            f"got {obj['basis_out']!r}"
         )
     return Channel(
         kraus=[matrix_from_json(k) for k in obj["kraus"]],

@@ -1,9 +1,9 @@
 """Symmetric-subspace linear algebra.
 
 Occupation-number bases for the Bose subspace of (C^d)^{x N}, the
-symmetrizer projection, the isometric embedding of the occupation basis
-into the full tensor space, tensor powers of pure states, single-site
-marginals, and seeded Haar-random state sampling.
+isometric embedding of the occupation basis into the full tensor space,
+tensor powers of pure states, single-site marginals,
+and, and seeded Haar-random state sampling.
 
 All functions are pure; randomized ones take an explicit seed.  The
 occupation basis is ordered reverse-lexicographically everywhere.
@@ -29,9 +29,7 @@ __all__ = [
     "DensityOperator",
     "sym_dimension",
     "occupation_basis",
-    "occupation_index",
     "check_dense_guard",
-    "symmetrizer",
     "sym_embed",
     "product_power",
     "single_site_marginal",
@@ -114,11 +112,6 @@ def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
     return list(_table(d, N).basis)
 
 
-def occupation_index(d: int, N: int) -> dict[tuple[int, ...], int]:
-    """Map occupation vector -> position in occupation_basis(d, N)."""
-    return {n: j for j, n in enumerate(_table(d, N).basis)}
-
-
 def check_dense_guard(d: int, M: int, guard: int | None = None) -> None:
     """Raise DimensionGuardError if d**M exceeds the dense guard."""
     limit = DEFAULT_DENSE_GUARD if guard is None else guard
@@ -181,13 +174,15 @@ class DensityOperator:
             )
 
 
-def sym_embed(d: int, N: int, guard: int | None = None) -> np.ndarray:
+def sym_embed(d: int, N: int) -> np.ndarray:
     """Isometry E from the occupation basis into (C^d)^{x N}.
 
-    E*E = 1 and E E* = symmetrizer(d, N).  The column for occupation n
-    puts amplitude sqrt(prod n_i! / N!) on each distinct ordering.
+    E*E = 1 and E E* is the orthogonal projection onto the symmetric
+    subspace.  The column for occupation n puts amplitude
+    sqrt(prod n_i! / N!) on each distinct ordering.  Raises
+    DimensionGuardError when d^N exceeds the dense guard.
     """
-    check_dense_guard(d, N, guard)
+    check_dense_guard(d, N)
     basis = _table(d, N).basis
     # row r is the word whose letters are the base-d digits of r
     words = np.indices((d,) * N).reshape(N, d**N).T
@@ -200,12 +195,6 @@ def sym_embed(d: int, N: int, guard: int | None = None) -> np.ndarray:
     E = np.zeros((d**N, len(basis)), dtype=complex)
     E[np.arange(d**N), cols] = amps[cols]
     return E
-
-
-def symmetrizer(d: int, M: int, guard: int | None = None) -> np.ndarray:
-    """Orthogonal projection of (C^d)^{x M} onto its symmetric subspace."""
-    E = sym_embed(d, M, guard)
-    return E @ E.conj().T
 
 
 def product_power(psi: PureState | np.ndarray, N: int) -> np.ndarray:

@@ -2,14 +2,13 @@
 
 Structural identities (projections, isometries, trace preservation,
 covariance) are checked at STRUCTURAL_TOL; state normalization at
-STATE_TOL.  The dense guard bounds two sizes: the dimension d**M of the
-dense oracles that build a full tensor-product object (sym_embed,
-symmetrizer, dense_cloner_output, kron_power), and the side
-in_dim * out_dim of a Choi matrix.  Occupation-basis paths, including
-the conjugation by Sym^N(u) in covariance_defect and twirl_choi, build no
-d**M object and answer past the first.  The Kraus entry guard bounds the
-entries of the optimal cloner's Kraus operators.  The branch guard
-bounds the summands pieri_branch lists.
+STATE_TOL.  The dense guard bounds two sizes: the dimension d**M of a
+full tensor-product object (sym_embed, kron_power, spin_embedding), and
+the side in_dim * out_dim of a Choi matrix.  Occupation-basis paths,
+including the conjugation by Sym^N(u) in covariance_defect and
+twirl_choi, build no d**M object and answer past the first.  The Kraus
+entry guard bounds the entries of the optimal cloner's Kraus operators.
+The branch guard bounds the summands pieri_branch lists.
 """
 
 STRUCTURAL_TOL = 1e-10

@@ -39,13 +39,15 @@ from cloneopt import (
     weyl_dimension,
 )
 from cloneopt.channels import min_choi_eigenvalue
-from cloneopt.omega_opt import gamma_from_omega, random_feasible_point
+from cloneopt.omega_opt import gamma_from_omega
 from cloneopt.tensor_core import (
     FULL_BASIS,
     DensityOperator,
     PureState,
     single_site_marginal,
 )
+
+from reference import random_feasible_point
 
 
 def report(number, text):

@@ -22,7 +22,6 @@ from cloneopt import (
     delta_one_closed_form,
     delta_one_numeric,
     haar_state,
-    haar_unitary,
     omega_measure,
     one_body_operator,
     optimal_cloner,
@@ -36,7 +35,7 @@ from cloneopt.channels import (
     _factor_eigvalsh,
     choi_factor,
     conjugate_channel,
-    constant_output_channel,
+    haar_unitary,
     kron_power,
     min_choi_eigenvalue,
     spin_embedding,
@@ -46,6 +45,8 @@ from cloneopt.channels import (
 )
 from cloneopt import cloner
 from cloneopt.cloner import Channel, refine_supremum
+
+from reference import constant_output_channel
 
 
 def identity_channel(d):

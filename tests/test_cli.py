@@ -20,7 +20,6 @@ from cloneopt import (
     optimal_cloner,
     su2_component_cloner,
 )
-from cloneopt.channels import constant_output_channel
 from cloneopt.cli import run
 from cloneopt.serialize import (
     channel_from_json,
@@ -30,6 +29,8 @@ from cloneopt.serialize import (
     matrix_to_json,
     omega_report_to_json,
 )
+
+from reference import constant_output_channel
 
 
 def capture(argv):
@@ -252,9 +253,8 @@ def test_exit_codes():
     # usage: out-of-range d
     code, _ = capture(["dims", "--d", "9", "--n", "1"])
     assert code == 2
-    # guard: dense oracle beyond limit
-    code, _ = capture(["cloner", "apply", "--d", "2", "--n", "1", "--m", "13",
-                       "--guard", "4096"])
+    # guard: Kraus entries beyond limit
+    code, _ = capture(["cloner", "apply", "--d", "8", "--n", "1", "--m", "64"])
     assert code == 3
     # usage: malformed weight
     code, _ = capture(["rep", "casimir", "--weight", "1,2"])
@@ -383,6 +383,37 @@ def test_non_finite_state_exits_2(sub, state):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("sub", ["apply", "marginal", "overlap"])
+def test_unreadable_state_path_exits_2(sub, kind, tmp_path, capsys):
+    state = tmp_path / "state.json" if kind == "missing" else tmp_path
+    code = run(["cloner", sub, "--d", "2", "--n", "1", "--m", "2", "--state", str(state)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read state file '{state}': ")
+    assert captured.err.count("\n") == 1
+
+
+def test_spin_exponent_exits_2_at_once():
+    # Fraction("1e10000000") alone took 10.7 s, and 1e100000000 over 100 s
+    proc = run_child("-m", "cloneopt.cli", "omega", "su2", "--alpha", "1e100000000",
+                     "--beta", "1e100000000", "--gamma", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot parse spin '1e100000000'\n"
+
+
+def test_spin_forms(capsys):
+    argv = ["omega", "su2", "--beta", "1", "--gamma", "1/2", "--alpha"]
+    assert run(argv + ["3/2"]) == 0
+    assert run(argv + ["1.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ['{"omega": [5, 3]}'] * 2
+    assert run(argv + ["15E-1"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse spin '15E-1'\n"
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 @pytest.mark.parametrize("sub", ["delta-one", "defect"])
 def test_samples_below_one_exit_2(sub, samples, capsys):
@@ -403,6 +434,7 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     (["omega", "max", "--m", "2"], "--guard"), (["omega", "max", "--m", "2"], "--seed"),
     (["channel", "omega", "--m", "2"], "--guard"),
     (["channel", "delta-one", "--m", "2"], "--guard"),
+    (["cloner", "apply", "--m", "2"], "--guard"),
 ])
 def test_flags_a_command_does_not_read_exit_2(argv, flag, capsys):
     code = run(argv + ["--d", "2", "--n", "1", flag, "4"])
@@ -499,6 +531,15 @@ def test_channel_from_json_rejects_another_output_basis(basis_out):
     doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
     doc["basis_out"] = basis_out
     with pytest.raises(BasisError, match="output basis"):
+        channel_from_json(doc)
+
+
+def test_channel_from_json_rejects_a_stack_of_another_shape():
+    # a (1, 4, 3) stack is no channel of (d, N, M) = (2, 1, 3), whose input
+    # has dimension 2; it used to load, and the diagnostics died in numpy
+    doc = channel_to_json(optimal_cloner(ClonerSpec(2, 1, 3)))
+    doc["kraus"] = [matrix_to_json(np.ones((4, 3)) / 2)]
+    with pytest.raises(ValueError, match=r"shape \(4, 3\)"):
         channel_from_json(doc)
 
 

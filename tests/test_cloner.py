@@ -17,10 +17,8 @@ from cloneopt import (
     delta_all_numeric,
     delta_one_closed_form,
     delta_one_numeric,
-    dense_cloner_output,
     haar_state,
     occupation_basis,
-    occupation_index,
     optimal_cloner,
     product_power,
     shrinking_factor,
@@ -31,9 +29,10 @@ from cloneopt import (
     sym_embed,
 )
 from cloneopt import cloner
-from cloneopt.channels import constant_output_channel
 from cloneopt.cloner import Channel
 from cloneopt.tolerances import KRAUS_ENTRY_GUARD
+
+from reference import constant_output_channel, dense_cloner_output, occupation_index
 
 DESK_GRID = [
     (2, 1, 2),
@@ -147,15 +146,15 @@ def test_trace_preservation(d, N, M):
 
 def test_kraus_list_is_stacked_once():
     ops = [np.eye(3, 2), np.ones((3, 2)) / 3, 1j * np.eye(3, 2)[::-1]]
-    from_list = Channel(kraus=ops, d=2, n_in=1, m_out=1)
-    from_stack = Channel(kraus=np.stack(ops).astype(complex), d=2, n_in=1, m_out=1)
+    from_list = Channel(kraus=ops, d=2, n_in=1, m_out=2)
+    from_stack = Channel(kraus=np.stack(ops).astype(complex), d=2, n_in=1, m_out=2)
     for channel in (from_list, from_stack):
         assert channel.kraus.shape == (3, 3, 2) and channel.kraus.dtype == complex
         assert channel.kraus.flags.c_contiguous
         assert (channel.out_dim, channel.in_dim) == (3, 2)
     assert np.array_equal(from_list.kraus, from_stack.kraus)
     # derived channels share the stored stack rather than copying it
-    assert replace(from_stack, basis_out=FULL_BASIS).kraus is from_stack.kraus
+    assert replace(from_stack).kraus is from_stack.kraus
 
 
 @pytest.mark.parametrize("kraus", [
@@ -163,6 +162,8 @@ def test_kraus_list_is_stacked_once():
     [],  # empty
     np.empty((0, 2, 2)),  # empty stack
     np.eye(2),  # one matrix, not a stack
+    np.ones((1, 3, 2)),  # an output of another dimension
+    np.ones((1, 2, 3)),  # an input of another dimension
 ])
 def test_kraus_stack_rejects_malformed_input(kraus):
     with pytest.raises(ValueError):

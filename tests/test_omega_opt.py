@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from cloneopt import (
     CandidatePoint,
     DimensionGuardError,
-    contains_sym,
-    conjugate_weight,
     enumerate_W1,
     f2,
     maximize_brute,
@@ -20,8 +18,10 @@ from cloneopt import (
     omega_su2,
 )
 from cloneopt import omega_opt
-from cloneopt.omega_opt import gamma_from_omega, random_feasible_point
+from cloneopt.omega_opt import gamma_from_omega
 from cloneopt.rep_theory import is_dominant
+
+from reference import conjugate_weight, contains_sym, random_feasible_point
 
 
 def top_point(d, N, M):

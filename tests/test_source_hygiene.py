@@ -1,11 +1,18 @@
 """Dead-code checks on the package source: no unread import, no
-unreferenced private module-level function or class."""
+unreferenced private module-level function or class, no unreferenced
+method, and no exported name that only its own module reads."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cloneopt").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cloneopt"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# Kept with the channel JSON schema until ROADMAP item 4 decides it.
+UNREAD_EXPORTS = {"channel_to_json", "channel_from_json"}
 
 
 def names_read(tree):
@@ -15,6 +22,31 @@ def names_read(tree):
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+
+
+def references(tree):
+    """Every name a file reads: bare names and attributes loaded, and the
+    dotted parts of string constants (perfbench names what it traces as
+    strings), but not docstrings or other bare string statements, nor
+    the strings of an __all__."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skipped.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skipped |= {id(n) for n in ast.walk(node.value)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skipped):
+            found |= set(node.value.split("."))
+    return found
 
 
 def exported(tree):
@@ -60,3 +92,44 @@ def test_every_private_definition_is_referenced():
         and node.name not in referenced
     ]
     assert not dead, f"private definitions nothing refers to: {dead}"
+
+
+def test_every_method_is_referenced():
+    files = SOURCES + TESTS + DEMOS + sorted((ROOT / "perfbench").rglob("*.py"))
+    referenced = set().union(*(references(ast.parse(path.read_text())) for path in files))
+    dead = [
+        f"{path.name}::{cls.name}.{fn.name}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in referenced
+    ]
+    assert not dead, f"methods and properties nothing refers to: {dead}"
+
+
+def test_every_export_is_read_outside_its_module():
+    # a name in a module's __all__, or in cloneopt.__all__, must be read by
+    # cli.py, a demo, perfbench or another module; __init__ only re-exports
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    home = {
+        alias.name: PACKAGE / f"{node.module}.py"
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    exports = {(name, home[name]) for name in exported(init)}
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    for path in modules:
+        exports |= {(name, path) for name in exported(ast.parse(path.read_text()))}
+    readers = modules + DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = {path: references(ast.parse(path.read_text())) for path in readers}
+    unread = sorted(
+        f"{path.name}::{name}"
+        for name, path in exports
+        if name not in UNREAD_EXPORTS
+        and not any(name in names for reader, names in reads.items() if reader != path)
+    )
+    assert not unread, f"exported names only their own module reads: {unread}"

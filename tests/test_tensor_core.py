@@ -13,16 +13,16 @@ from cloneopt import (
     PureState,
     haar_state,
     occupation_basis,
-    occupation_index,
     one_body_operator,
     product_power,
     single_site_marginal,
     sym_dimension,
     sym_embed,
-    symmetrizer,
 )
 from cloneopt.channels import traceless_hermitian_basis
 from cloneopt.tensor_core import _product_powers, _table, check_dense_guard
+
+from reference import occupation_index, symmetrizer
 
 
 def permutation_average(d, M):
