@@ -18,6 +18,7 @@ import numpy as np
 
 from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
 from .errors import ChannelPropertyError, DimensionGuardError
+from .omega_opt import _check_spins
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
@@ -48,18 +49,17 @@ __all__ = [
 @dataclass(frozen=True)
 class SU2Labels:
     """Spin labels (alpha, beta, gamma) of a qubit component cloner;
-    gamma = N/2 is fixed by the input count."""
+    gamma = N/2 is fixed by the input count.  Labels that omega_su2
+    refuses raise the same ValueError here."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            spin = Fraction(getattr(self, name))
+        spins = _check_spins(self.alpha, self.beta, self.gamma)
+        for name, spin in zip(("alpha", "beta", "gamma"), spins):
             object.__setattr__(self, name, spin)
-            if spin < 0 or (2 * spin).denominator != 1:
-                raise ValueError(f"{name} = {spin} is not a non-negative half-integer")
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,14 +332,13 @@ def su2_coupling_isometry(
 ) -> np.ndarray:
     """Intertwining isometry V from spin gamma into spin alpha (x) spin beta.
 
-    The top vector is the (unique, by the triangle condition) null vector
-    of the total raising operator in the magnetization-gamma sector; the
-    rest of the column space follows by total lowering.  The global phase
-    is fixed by making the largest component real positive.
+    The top vector is the null vector of the total raising operator in
+    the magnetization-gamma sector, unique for labels that omega_su2
+    accepts (others raise its ValueError); the rest of the column space
+    follows by total lowering.  The global phase is fixed by making the
+    largest component real positive.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    if not (abs(alpha - beta) <= gamma <= alpha + beta):
-        raise ValueError(f"triangle condition violated for ({alpha}, {beta}, {gamma})")
+    alpha, beta, gamma = _check_spins(alpha, beta, gamma)
     da, db = int(2 * alpha) + 1, int(2 * beta) + 1
     # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
     # qubits, with one spin moved from up (mode 0) to down (mode 1)

@@ -22,7 +22,7 @@ from . import rep_theory as rt
 from . import serialize as se
 from . import tensor_core as tc
 from .errors import CloneOptError, DimensionGuardError
-from .tolerances import STRUCTURAL_TOL
+from .tolerances import STATE_TOL, STRUCTURAL_TOL
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -55,14 +55,24 @@ def _parse_state(text: str, d: int) -> tc.PureState:
             raise UsageError(f"cannot read state file {text!r}: {exc.strerror}") from exc
     try:
         amps = se.vector_from_json(json.loads(raw))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OverflowError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse state {text!r}") from exc
     if amps.shape[0] != d:
         raise UsageError(f"state has {amps.shape[0]} amplitudes, expected {d}")
-    norm = np.linalg.norm(amps)
-    if not 0 < norm < np.inf:
+    if not (np.isfinite(amps).all() and amps.any()):
         raise UsageError("state vector must be non-zero with finite amplitudes")
-    return tc.PureState(amps / norm)
+    with np.errstate(all="ignore"):
+        psi = amps / np.linalg.norm(amps)
+        normalized = abs(np.linalg.norm(psi) - 1) <= STATE_TOL
+    if not normalized:
+        # the norm over- or underflowed: scale the largest real or
+        # imaginary part to 1 first, so the norm lies in [1, sqrt(2d)];
+        # the parts are scaled as reals, since a complex division by a
+        # subnormal overflows
+        parts = np.array([amps.real, amps.imag])
+        parts /= np.abs(parts).max()
+        psi = (parts[0] + 1j * parts[1]) / np.linalg.norm(parts)
+    return tc.PureState(psi)
 
 
 def _input_state(args) -> tc.PureState:
@@ -81,12 +91,10 @@ def _check_ranges(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and not 0 <= n <= 64:
         raise UsageError(f"N must be in [0, 64], got {n}")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    for name, least in (("samples", 1), ("seed", 0), ("guard", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError(f"{name} must be >= {least}, got {value}")
     m = getattr(args, "m", None)
     if m is not None:
         if not 0 <= m <= 64:
@@ -320,18 +328,63 @@ def _cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, need_m=True, seed=False, samples_default=None, guard=False):
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    if need_m:
-        p.add_argument("--m", type=int, required=True)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if samples_default is not None:
-        p.add_argument("--samples", type=int, default=samples_default)
-    if guard:
-        p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--format", choices=["json", "table"], default="json")
+# argparse keywords of every flag; each command row below names the flags
+# it reads, in the order its --help lists them
+_FLAGS = {
+    "--d": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int),
+    "--guard": dict(type=int),
+    "--format": dict(choices=["json", "table"], default="json"),
+    "--state": dict(type=str, help="inline JSON amplitudes or a file path"),
+    "--weight": dict(type=str, required=True),
+    "--mu": dict(type=str, required=True),
+    "--alpha": dict(type=str, required=True),
+    "--beta": dict(type=str, required=True),
+    "--gamma": dict(type=str, required=True),
+}
+
+_GROUP_HELP = {
+    "dims": "symmetric-subspace dimension",
+    "cloner": "optimal cloner construction and constants",
+    "omega": "maximization of the omega functional",
+    "rep": "highest-weight bookkeeping",
+    "channel": "channel-level diagnostics of the optimal cloner",
+    "verify": "run the invariant suite",
+}
+
+# (group, subcommand, handler, flags, defaults); dims has no subcommand.
+# In the cloner apply|marginal|overlap rows --seed draws the input state
+# when --state is absent.
+_COMMANDS = [
+    ("dims", None, _cmd_dims, ("--d", "--n", "--format"), {}),
+    ("cloner", "constants", _cmd_cloner_constants, ("--d", "--n", "--m", "--format"), {}),
+    ("cloner", "apply", _cmd_cloner_apply,
+     ("--d", "--n", "--m", "--seed", "--format", "--state"), {}),
+    ("cloner", "marginal", _cmd_cloner_marginal,
+     ("--d", "--n", "--m", "--seed", "--format", "--state"), {}),
+    ("cloner", "overlap", _cmd_cloner_overlap,
+     ("--d", "--n", "--m", "--seed", "--format", "--state"), {}),
+    ("omega", "max", _cmd_omega_max, ("--d", "--n", "--m", "--format"), {}),
+    ("omega", "point", _cmd_omega_point, ("--weight", "--mu", "--format"), {}),
+    ("omega", "su2", _cmd_omega_su2, ("--alpha", "--beta", "--gamma", "--format"), {}),
+    ("rep", "casimir", _cmd_rep_casimir, ("--weight", "--format"), {}),
+    ("rep", "branch", _cmd_rep_branch, ("--weight", "--n", "--format"), {}),
+    ("rep", "multiplicity", _cmd_rep_multiplicity, ("--weight", "--m", "--format"), {}),
+    ("rep", "adjoint", _cmd_rep_adjoint, ("--d", "--n", "--format"), {}),
+    ("channel", "twirl", _cmd_channel_twirl,
+     ("--d", "--n", "--m", "--seed", "--samples", "--guard", "--format"), {"samples": 200}),
+    ("channel", "defect", _cmd_channel_defect,
+     ("--d", "--n", "--m", "--seed", "--samples", "--guard", "--format"), {"samples": 50}),
+    # reads no seed; it keeps --seed, which perfbench passes to every channel command
+    ("channel", "omega", _cmd_channel_omega, ("--d", "--n", "--m", "--seed", "--format"), {}),
+    ("channel", "delta-one", _cmd_channel_delta_one,
+     ("--d", "--n", "--m", "--seed", "--samples", "--format"), {"samples": 2000}),
+    ("verify", "all", _cmd_verify_all,
+     ("--d", "--n", "--m", "--seed", "--guard", "--format"), {}),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,85 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal universal cloning channels and the omega functional",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="symmetric-subspace dimension")
-    _add_common(p, need_m=False)
-    p.set_defaults(handler=_cmd_dims)
-
-    pc = sub.add_parser("cloner", help="optimal cloner construction and constants")
-    subc = pc.add_subparsers(dest="subcommand", required=True)
-    for name, handler, has_state in [
-        ("constants", _cmd_cloner_constants, False),
-        ("apply", _cmd_cloner_apply, True),
-        ("marginal", _cmd_cloner_marginal, True),
-        ("overlap", _cmd_cloner_overlap, True),
-    ]:
-        p = subc.add_parser(name)
-        # --seed draws the input state when --state is absent
-        _add_common(p, seed=has_state)
-        if has_state:
-            p.add_argument("--state", type=str, default=None,
-                           help="inline JSON amplitudes or a file path")
-        p.set_defaults(handler=handler)
-
-    po = sub.add_parser("omega", help="maximization of the omega functional")
-    subo = po.add_subparsers(dest="subcommand", required=True)
-    p = subo.add_parser("max")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_omega_max)
-    p = subo.add_parser("point")
-    p.add_argument("--weight", type=str, required=True)
-    p.add_argument("--mu", type=str, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_omega_point)
-    p = subo.add_parser("su2")
-    p.add_argument("--alpha", type=str, required=True)
-    p.add_argument("--beta", type=str, required=True)
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_omega_su2)
-
-    pr = sub.add_parser("rep", help="highest-weight bookkeeping")
-    subr = pr.add_subparsers(dest="subcommand", required=True)
-    p = subr.add_parser("casimir")
-    p.add_argument("--weight", type=str, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_rep_casimir)
-    p = subr.add_parser("branch")
-    p.add_argument("--weight", type=str, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_rep_branch)
-    p = subr.add_parser("multiplicity")
-    p.add_argument("--weight", type=str, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_rep_multiplicity)
-    p = subr.add_parser("adjoint")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_rep_adjoint)
-
-    pch = sub.add_parser("channel", help="channel-level diagnostics of the optimal cloner")
-    subch = pch.add_subparsers(dest="subcommand", required=True)
-    # channel omega reads no seed; it keeps --seed, which perfbench passes to every channel command
-    for name, handler, samples, guard in [
-        ("twirl", _cmd_channel_twirl, 200, True),
-        ("defect", _cmd_channel_defect, 50, True),
-        ("omega", _cmd_channel_omega, None, False),
-        ("delta-one", _cmd_channel_delta_one, 2000, False),
-    ]:
-        p = subch.add_parser(name)
-        _add_common(p, seed=True, samples_default=samples, guard=guard)
-        p.set_defaults(handler=handler)
-
-    pv = sub.add_parser("verify", help="run the invariant suite")
-    subv = pv.add_subparsers(dest="subcommand", required=True)
-    p = subv.add_parser("all")
-    _add_common(p, seed=True, guard=True)
-    p.set_defaults(handler=_cmd_verify_all)
-
+    groups = {}
+    for group, name, handler, flags, defaults in _COMMANDS:
+        if name is None:
+            p = sub.add_parser(group, help=_GROUP_HELP[group])
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            p = groups[group].add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 

@@ -20,6 +20,7 @@ from .tensor_core import (
     SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
+    _basis_dimension,
     _product_powers,
     _rank,
     _table,
@@ -86,20 +87,19 @@ class Channel:
                 "Kraus operators must form a non-empty (R, out_dim, in_dim) stack, "
                 f"got shape {self.kraus.shape}"
             )
-        if self.basis_out == SYMMETRIC_BASIS:
-            out_dim = sym_dimension(self.d, self.m_out)
-        elif self.basis_out == FULL_BASIS:
-            out_dim = self.d**self.m_out
-        else:
+        if self.basis_out not in (SYMMETRIC_BASIS, FULL_BASIS):
             raise BasisError(
                 f"channel output basis must be {SYMMETRIC_BASIS!r} or {FULL_BASIS!r}, "
                 f"got {self.basis_out!r}"
             )
-        dims = (out_dim, sym_dimension(self.d, self.n_in))
-        if self.kraus.shape[1:] != dims:
+        _, out_side, in_side = self.kraus.shape
+        out_dim = _basis_dimension(self.basis_out, self.d, self.m_out, out_side)
+        in_dim = _basis_dimension(SYMMETRIC_BASIS, self.d, self.n_in, in_side)
+        if (out_side, in_side) != (out_dim, in_dim):
             raise ValueError(
                 f"Kraus operators of shape {self.kraus.shape[1:]} do not map "
-                f"(d, N, M) = ({self.d}, {self.n_in}, {self.m_out}), which needs {dims}"
+                f"(d, N, M) = ({self.d}, {self.n_in}, {self.m_out}), "
+                f"which needs ({out_dim}, {in_dim})"
             )
 
     @property

@@ -284,15 +284,10 @@ def maximize_greedy(
         current, point = best
 
 
-def omega_su2(alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:
-    """Exact omega for a qubit component with spins (alpha, beta) and
-    fixed input spin gamma = N/2:
-
-        omega = 1/2 + (alpha(alpha+1) - beta(beta+1)) / (2 gamma(gamma+1))
-
-    Requires the triangle condition |alpha - beta| <= gamma <= alpha + beta
-    and consistent half-integers (alpha + beta + gamma integral).
-    """
+def _check_spins(alpha, beta, gamma) -> tuple[Fraction, Fraction, Fraction]:
+    """The spin labels as Fractions.  Raises ValueError unless each is a
+    non-negative half-integer, alpha + beta + gamma is an integer and
+    |alpha - beta| <= gamma <= alpha + beta (the triangle condition)."""
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     for spin in (alpha, beta, gamma):
         if spin < 0 or (2 * spin).denominator != 1:
@@ -303,9 +298,21 @@ def omega_su2(alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:
         raise ValueError(
             f"triangle condition violated for ({alpha}, {beta}, {gamma})"
         )
+    return alpha, beta, gamma
+
+
+def omega_su2(alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:
+    """Exact omega for a qubit component with spins (alpha, beta) and
+    fixed input spin gamma = N/2:
+
+        omega = 1/2 + (alpha(alpha+1) - beta(beta+1)) / (2 gamma(gamma+1))
+
+    Requires the triangle condition |alpha - beta| <= gamma <= alpha + beta
+    and consistent half-integers (alpha + beta + gamma integral), else
+    ValueError; gamma = 0 then forces alpha = beta.
+    """
+    alpha, beta, gamma = _check_spins(alpha, beta, gamma)
     if gamma == 0:
-        if alpha != beta:
-            raise ValueError("gamma = 0 requires alpha = beta")
         return Fraction(1, 2)
     return Fraction(1, 2) + (alpha * (alpha + 1) - beta * (beta + 1)) / (
         2 * gamma * (gamma + 1)

@@ -45,6 +45,21 @@ def sym_dimension(d: int, N: int) -> int:
     return math.comb(d + N - 1, N)
 
 
+def _basis_dimension(basis: str, d: int, sites: int, side: int) -> int | str:
+    """Dimension of `basis` on `sites` sites of C^d, for comparison with a
+    matrix side.  d[m] = C(d+m-1, m) >= 2^min(d-1, m) and d^m >= 2^m, so
+    once that exponent reaches side's bit length the dimension exceeds
+    side; it is then returned as the text '>= 2**e', and no binomial or
+    power of the declared sizes is computed.  Unknown tags raise
+    BasisError."""
+    if basis not in (SYMMETRIC_BASIS, FULL_BASIS):
+        raise BasisError(f"unknown basis tag {basis!r}")
+    exponent = min(d - 1, sites) if basis == SYMMETRIC_BASIS else sites
+    if d >= 2 and exponent >= side.bit_length():
+        return f">= 2**{exponent}"
+    return sym_dimension(d, sites) if basis == SYMMETRIC_BASIS else d**sites
+
+
 class _OccupationTable:
     """Integer tables of the occupation basis of (C^d)^{x N}, built once per (d, N).
 
@@ -162,12 +177,7 @@ class DensityOperator:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if self.basis == SYMMETRIC_BASIS:
-            dim = sym_dimension(self.d, self.sites)
-        elif self.basis == FULL_BASIS:
-            dim = self.d**self.sites
-        else:
-            raise BasisError(f"unknown basis tag {self.basis!r}")
+        dim = _basis_dimension(self.basis, self.d, self.sites, max(mat.shape[-2:], default=0))
         if mat.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match basis dimension {dim}"

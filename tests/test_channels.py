@@ -246,6 +246,10 @@ def test_component_cloner_triangle_guard():
     with pytest.raises(ValueError):
         # gamma must equal N/2
         su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 1, 2)
+    with pytest.raises(ValueError):
+        # alpha + beta + gamma = 5/2 is not an integer; this label used to
+        # reach an assert in su2_coupling_isometry
+        su2_component_cloner(SU2Labels(Fraction(1), Fraction(1, 2), Fraction(1)), 2, 3)
 
 
 def admissible_labels(N, M):

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, JSON schema, exit codes, reproducibility."""
+import argparse
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ from cloneopt import (
     optimal_cloner,
     su2_component_cloner,
 )
-from cloneopt.cli import run
+from cloneopt.cli import build_parser, run
 from cloneopt.serialize import (
     channel_from_json,
     channel_to_json,
@@ -205,7 +206,7 @@ DEFECT_TWIRL_DIGESTS = {
 DIGEST_SCRIPT = """
 import hashlib, io, sys
 from contextlib import redirect_stdout
-from cloneopt.cli import run
+from cloneopt.cli import build_parser, run
 for argv in sys.argv[1:]:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -383,6 +384,33 @@ def test_non_finite_state_exits_2(sub, state):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+# |+> and |0> written with amplitudes whose 2-norm over- or underflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state,same_as", [
+    ("[[1e308,0],[1e308,0]]", "[[1,0],[1,0]]"),
+    ("[[1e-170,0],[1e-170,0]]", "[[1,0],[1,0]]"),
+    ("[[1e-320,0],[0,0]]", "[[1,0],[0,0]]"),
+    ("[[1e-160,0],[0,0]]", "[[1,0],[0,0]]"),
+])
+def test_state_at_the_ends_of_the_float_range_answers(state, same_as):
+    argv = ["cloner", "marginal", "--d", "2", "--n", "1", "--m", "2", "--state"]
+    code, out = capture(argv + [state])
+    assert code == 0
+    assert (code, out) == capture(argv + [same_as])
+
+
+@pytest.mark.parametrize("state", [
+    "[[1,0,0],[0,0]]", "[[1]]",
+    pytest.param("[[1" + "0" * 400 + ",0],[0,0]]", id="401-digit-int"),  # no float holds it
+])
+def test_malformed_state_pair_exits_2(state, capsys):
+    code = run(["cloner", "marginal", "--d", "2", "--n", "1", "--m", "2", "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse state {state!r}\n"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("sub", ["apply", "marginal", "overlap"])
 def test_unreadable_state_path_exits_2(sub, kind, tmp_path, capsys):
@@ -423,6 +451,16 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("guard", [0, -5])
+@pytest.mark.parametrize("argv", [["channel", "twirl"], ["channel", "defect"], ["verify", "all"]])
+def test_guard_below_one_exits_2(argv, guard, capsys):
+    code = run(argv + ["--d", "2", "--n", "1", "--m", "2", "--guard", str(guard)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: guard must be >= 1, got {guard}\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -487,6 +525,76 @@ def test_table_format():
                          "--format", "table"])
     assert code == 0
     assert "gamma" in out and "[2,3]" in out
+
+
+# The CLI surface, recorded from the parser whose commands were wired one
+# by one: per command, each option after -h, in order, as (option,
+# required, default), then its choices or its help string where it has one
+D, N, M = ("--d", True, None), ("--n", True, None), ("--m", True, None)
+SEED, GUARD = ("--seed", False, 0), ("--guard", False, None)
+FORMAT = ("--format", False, "json", ["json", "table"])
+STATE = ("--state", False, None, "inline JSON amplitudes or a file path")
+WEIGHT = ("--weight", True, None)
+CLI_SURFACE = {
+    "dims": [D, N, FORMAT],
+    "cloner constants": [D, N, M, FORMAT],
+    "cloner apply": [D, N, M, SEED, FORMAT, STATE],
+    "cloner marginal": [D, N, M, SEED, FORMAT, STATE],
+    "cloner overlap": [D, N, M, SEED, FORMAT, STATE],
+    "omega max": [D, N, M, FORMAT],
+    "omega point": [WEIGHT, ("--mu", True, None), FORMAT],
+    "omega su2": [("--alpha", True, None), ("--beta", True, None), ("--gamma", True, None),
+                  FORMAT],
+    "rep casimir": [WEIGHT, FORMAT],
+    "rep branch": [WEIGHT, N, FORMAT],
+    "rep multiplicity": [WEIGHT, M, FORMAT],
+    "rep adjoint": [D, N, FORMAT],
+    "channel twirl": [D, N, M, SEED, ("--samples", False, 200), GUARD, FORMAT],
+    "channel defect": [D, N, M, SEED, ("--samples", False, 50), GUARD, FORMAT],
+    "channel omega": [D, N, M, SEED, FORMAT],
+    "channel delta-one": [D, N, M, SEED, ("--samples", False, 2000), FORMAT],
+    "verify all": [D, N, M, SEED, GUARD, FORMAT],
+}
+GROUP_HELP = [
+    ("dims", "symmetric-subspace dimension"),
+    ("cloner", "optimal cloner construction and constants"),
+    ("omega", "maximization of the omega functional"),
+    ("rep", "highest-weight bookkeeping"),
+    ("channel", "channel-level diagnostics of the optimal cloner"),
+    ("verify", "run the invariant suite"),
+]
+
+
+def leaf_commands(parser, path=()):
+    """(command, parser) of every command that takes options, in parser order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_commands(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    groups = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(c.dest, c.help) for c in groups._choices_actions] == GROUP_HELP
+    surface = {
+        command: [
+            (a.option_strings[0], a.required, a.default)
+            + ((a.choices,) if a.choices else ()) + ((a.help,) if a.help else ())
+            for a in sub._actions if a.dest != "help"
+        ]
+        for command, sub in leaf_commands(parser)
+    }
+    assert list(surface) == list(CLI_SURFACE)
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_help_exits_0(command, capsys):
+    assert run(command.split() + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: cloneopt {command} [-h]")
 
 
 # --- serialization round trips ---------------------------------------------

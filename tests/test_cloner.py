@@ -1,5 +1,6 @@
 """Optimal cloner: fast path vs dense oracle, closed-form constants."""
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -168,6 +169,21 @@ def test_kraus_list_is_stacked_once():
 def test_kraus_stack_rejects_malformed_input(kraus):
     with pytest.raises(ValueError):
         Channel(kraus=kraus, d=2, n_in=1, m_out=1)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda n: Channel(np.zeros((1, 1, 1)), n, n, n), "do not map"),
+    (lambda n: Channel(np.zeros((1, 1, 1)), n, n, n, FULL_BASIS), "do not map"),
+    (lambda n: DensityOperator(np.zeros((1, 1)), SYMMETRIC_BASIS, n, n), "does not match"),
+    (lambda n: DensityOperator(np.zeros((1, 1)), FULL_BASIS, n, n), "does not match"),
+])
+def test_huge_declared_sizes_are_refused_at_once(build, message):
+    # C(2n - 1, n) alone took 18 s at n = 400000, and its digits overran
+    # the int-to-str limit when the message printed it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        build(400000)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_apply_broadcasts_over_leading_axes():
