@@ -71,10 +71,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def kron_power(u: np.ndarray, n: int, guard: int | None = None) -> np.ndarray:
+def kron_power(u: np.ndarray, n: int) -> np.ndarray:
     """u^{x n} on the full tensor space; raises DimensionGuardError when
     d^n exceeds the dense guard."""
-    check_dense_guard(u.shape[0], n, guard)
+    check_dense_guard(u.shape[0], n)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, u)
@@ -109,7 +109,7 @@ def symmetric_rep(u: np.ndarray, N: int) -> np.ndarray:
     return (W * np.exp(1j * mu)) @ W.conj().T
 
 
-def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None) -> Channel:
+def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
     """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M.
 
     A full-basis output needs u^{x M} itself, which raises
@@ -118,19 +118,18 @@ def conjugate_channel(channel: Channel, u: np.ndarray, guard: int | None = None)
     if channel.basis_out == SYMMETRIC_BASIS:
         u_out = symmetric_rep(u, channel.m_out)
     else:
-        u_out = kron_power(u, channel.m_out, guard)
+        u_out = kron_power(u, channel.m_out)
     return replace(channel, kraus=u_out.conj().T @ channel.kraus @ u_in)
 
 
-def check_choi_guard(channel: Channel, guard: int | None = None) -> int:
+def check_choi_guard(channel: Channel) -> int:
     """Side in_dim * out_dim of the Choi matrix; raises DimensionGuardError
     above the dense guard."""
-    limit = DEFAULT_DENSE_GUARD if guard is None else guard
     dim = channel.in_dim * channel.out_dim
-    if dim > limit:
+    if dim > DEFAULT_DENSE_GUARD:
         raise DimensionGuardError(
             f"Choi matrix of side in_dim * out_dim = {channel.in_dim} * "
-            f"{channel.out_dim} = {dim} exceeds guard {limit}"
+            f"{channel.out_dim} = {dim} exceeds guard {DEFAULT_DENSE_GUARD}"
         )
     return dim
 
@@ -155,7 +154,7 @@ def _write_choi_rows(kraus: np.ndarray, rows: np.ndarray) -> None:
     rows.reshape(R, in_dim, out_dim)[...] = kraus.transpose(0, 2, 1)
 
 
-def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
+def choi(channel: Channel) -> np.ndarray:
     """Choi matrix of the state map, indexed (input, output) x (input, output).
 
     Convention: C = sum_ij |i><j| (x) T(|i><j|), i.e. the image of the
@@ -163,57 +162,53 @@ def choi(channel: Channel, guard: int | None = None) -> np.ndarray:
     on C^d this is d times the maximally entangled projector.  Raises
     DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
-    check_choi_guard(channel, guard)
+    check_choi_guard(channel)
     X = choi_factor(channel)
     return X @ X.conj().T
 
 
-def min_choi_eigenvalue(channel: Channel, guard: int | None = None) -> float:
+def min_choi_eigenvalue(channel: Channel) -> float:
     """Least eigenvalue of the Choi matrix, from its Kraus factor: the
     least eigenvalue _factor_eigvalsh gives, or 0 where R < side leaves
     the Choi matrix a kernel and that eigenvalue is positive."""
-    side = check_choi_guard(channel, guard)
+    side = check_choi_guard(channel)
     least = float(_factor_eigvalsh(choi_factor(channel).T)[0])
     return min(least, 0.0) if len(channel.kraus) < side else least
 
 
-def _rotations(channel: Channel, samples: int, seed: int, guard: int | None):
+def _rotations(channel: Channel, samples: int, seed: int):
     """Yields the rotated channels tau_u(T) for `samples` Haar unitaries u
     drawn, in order, from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        yield conjugate_channel(channel, haar_unitary(channel.d, rng), guard)
+        yield conjugate_channel(channel, haar_unitary(channel.d, rng))
 
 
-def twirl_choi(
-    channel: Channel, samples: int = 200, seed: int = 0, guard: int | None = None
-) -> np.ndarray:
+def twirl_choi(channel: Channel, samples: int = 200, seed: int = 0) -> np.ndarray:
     """Monte-Carlo Haar average of the Choi matrices X X^* (X = choi_factor)
     of tau_u(T) over `samples` seeded unitaries.  Raises ValueError for
     samples < 1 and DimensionGuardError above the dense guard."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    acc = np.zeros((check_choi_guard(channel, guard),) * 2, dtype=complex)
-    for rotated in _rotations(channel, samples, seed, guard):
+    acc = np.zeros((check_choi_guard(channel),) * 2, dtype=complex)
+    for rotated in _rotations(channel, samples, seed):
         X = choi_factor(rotated)
         acc += X @ X.conj().T
     return acc / samples
 
 
-def covariance_defect(
-    channel: Channel, samples: int = 50, seed: int = 0, guard: int | None = None
-) -> float:
+def covariance_defect(channel: Channel, samples: int = 50, seed: int = 0) -> float:
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
     Haar unitaries; zero (to tolerance) iff T is covariant.  The spectra
     come from the Kraus factors [X_u X_0] (choi_factor's columns, written
     as the rows of one buffer that every sample reuses, X_0 once); raises
     DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
-    side = check_choi_guard(channel, guard)
+    side = check_choi_guard(channel)
     R = len(channel.kraus)
     rows = np.empty((2 * R, side), dtype=complex)
     _write_choi_rows(channel.kraus, rows[R:])
     worst = 0.0
-    for rotated in _rotations(channel, samples, seed, guard):
+    for rotated in _rotations(channel, samples, seed):
         _write_choi_rows(rotated.kraus, rows[:R])
         vals = _factor_eigvalsh(rows, negative=R)
         worst = max(worst, float(np.max(np.abs(vals))))

@@ -91,7 +91,7 @@ def _check_ranges(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and not 0 <= n <= 64:
         raise UsageError(f"N must be in [0, 64], got {n}")
-    for name, least in (("samples", 1), ("seed", 0), ("guard", 1)):
+    for name, least in (("samples", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"{name} must be >= {least}, got {value}")
@@ -103,17 +103,20 @@ def _check_ranges(args) -> None:
             raise UsageError(f"M = {m} must be >= N = {n}")
 
 
-def _emit(obj, fmt: str) -> None:
+def _render(obj, fmt: str) -> str:
+    """The whole stdout text of an answer; raises ValueError for an int
+    past Python's int-to-str digit limit."""
     if fmt == "table":
         if not isinstance(obj, dict):
             obj = {"value": obj}
         width = max(len(k) for k in obj)
+        lines = []
         for k, v in obj.items():
             if isinstance(v, (dict, list)):
                 v = json.dumps(v, separators=(",", ":"))
-            print(f"{k:<{width}}  {v}")
-    else:
-        sys.stdout.write(se.dumps(obj))
+            lines.append(f"{k:<{width}}  {v}\n")
+        return "".join(lines)
+    return se.dumps(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,8 @@ def _cmd_channel_twirl(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
     # T is a twirl fixed point iff the averaged Choi matrix matches
-    averaged = ch.twirl_choi(channel, args.samples, args.seed, args.guard)
-    diff = averaged - ch.choi(channel, args.guard)
+    averaged = ch.twirl_choi(channel, args.samples, args.seed)
+    diff = averaged - ch.choi(channel)
     dist = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     return se.estimate_report(dist, args.samples, args.seed)
 
@@ -251,9 +254,7 @@ def _cmd_channel_twirl(args):
 def _cmd_channel_defect(args):
     spec = _cloner_spec(args)
     channel = cl.optimal_cloner(spec)
-    defect = ch.covariance_defect(
-        channel, samples=args.samples, seed=args.seed, guard=args.guard
-    )
+    defect = ch.covariance_defect(channel, samples=args.samples, seed=args.seed)
     return se.estimate_report(defect, args.samples, args.seed)
 
 
@@ -284,7 +285,7 @@ def _cmd_verify_all(args):
 
     # every guard this suite can hit, before any check runs
     channel = cl.optimal_cloner(spec)
-    ch.check_choi_guard(channel, args.guard)
+    ch.check_choi_guard(channel)
     oo.check_enumeration_guard(d, M)
 
     gamma = float(cl.shrinking_factor(spec))
@@ -302,11 +303,10 @@ def _cmd_verify_all(args):
             f"all-clone-overlap-seed-{args.seed + k}", abs(overlap - target) <= STRUCTURAL_TOL
         )
     check("trace-preserving", channel.completeness_defect() <= STRUCTURAL_TOL)
-    check("completely-positive", ch.min_choi_eigenvalue(channel, args.guard) >= -STRUCTURAL_TOL)
+    check("completely-positive", ch.min_choi_eigenvalue(channel) >= -STRUCTURAL_TOL)
     check(
         "covariance-defect",
-        ch.covariance_defect(channel, samples=10, seed=args.seed, guard=args.guard)
-        <= STRUCTURAL_TOL,
+        ch.covariance_defect(channel, samples=10, seed=args.seed) <= STRUCTURAL_TOL,
     )
     report = oo.maximize_brute(d, N, M)
     check("omega-max-value", report.omega_max == Fraction(M + d, N + d))
@@ -336,7 +336,6 @@ _FLAGS = {
     "--m": dict(type=int, required=True),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int),
-    "--guard": dict(type=int),
     "--format": dict(choices=["json", "table"], default="json"),
     "--state": dict(type=str, help="inline JSON amplitudes or a file path"),
     "--weight": dict(type=str, required=True),
@@ -375,15 +374,14 @@ _COMMANDS = [
     ("rep", "multiplicity", _cmd_rep_multiplicity, ("--weight", "--m", "--format"), {}),
     ("rep", "adjoint", _cmd_rep_adjoint, ("--d", "--n", "--format"), {}),
     ("channel", "twirl", _cmd_channel_twirl,
-     ("--d", "--n", "--m", "--seed", "--samples", "--guard", "--format"), {"samples": 200}),
+     ("--d", "--n", "--m", "--seed", "--samples", "--format"), {"samples": 200}),
     ("channel", "defect", _cmd_channel_defect,
-     ("--d", "--n", "--m", "--seed", "--samples", "--guard", "--format"), {"samples": 50}),
+     ("--d", "--n", "--m", "--seed", "--samples", "--format"), {"samples": 50}),
     # reads no seed; it keeps --seed, which perfbench passes to every channel command
     ("channel", "omega", _cmd_channel_omega, ("--d", "--n", "--m", "--seed", "--format"), {}),
     ("channel", "delta-one", _cmd_channel_delta_one,
      ("--d", "--n", "--m", "--seed", "--samples", "--format"), {"samples": 2000}),
-    ("verify", "all", _cmd_verify_all,
-     ("--d", "--n", "--m", "--seed", "--guard", "--format"), {}),
+    ("verify", "all", _cmd_verify_all, ("--d", "--n", "--m", "--seed", "--format"), {}),
 ]
 
 
@@ -419,6 +417,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         _check_ranges(args)
         out = args.handler(args)
+        out, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+        # rendered before anything is written, so a refusal leaves stdout empty
+        text = _render(out, fmt)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -431,11 +432,7 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(out, tuple):
-        out, code = out
-    else:
-        code = EXIT_OK
-    _emit(out, fmt)
+    sys.stdout.write(text)
     return code
 
 

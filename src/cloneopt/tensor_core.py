@@ -2,8 +2,8 @@
 
 Occupation-number bases for the Bose subspace of (C^d)^{x N}, the
 isometric embedding of the occupation basis into the full tensor space,
-tensor powers of pure states, single-site marginals,
-and, and seeded Haar-random state sampling.
+tensor powers of pure states, single-site marginals, and seeded
+Haar-random state sampling.
 
 All functions are pure; randomized ones take an explicit seed.  The
 occupation basis is ordered reverse-lexicographically everywhere.
@@ -127,13 +127,12 @@ def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
     return list(_table(d, N).basis)
 
 
-def check_dense_guard(d: int, M: int, guard: int | None = None) -> None:
+def check_dense_guard(d: int, M: int) -> None:
     """Raise DimensionGuardError if d**M exceeds the dense guard."""
-    limit = DEFAULT_DENSE_GUARD if guard is None else guard
-    if d**M > limit:
+    if d**M > DEFAULT_DENSE_GUARD:
         raise DimensionGuardError(
-            f"dense construction of size d^M = {d}^{M} exceeds guard {limit}; "
-            "use the symmetric-basis fast path instead"
+            f"dense construction of size d^M = {d}^{M} exceeds guard "
+            f"{DEFAULT_DENSE_GUARD}; use the symmetric-basis fast path instead"
         )
 
 

@@ -1,4 +1,4 @@
-"""Central tolerance and size-guard knobs.
+"""Central tolerances and size limits.
 
 Structural identities (projections, isometries, trace preservation,
 covariance) are checked at STRUCTURAL_TOL; state normalization at
@@ -8,7 +8,8 @@ the side in_dim * out_dim of a Choi matrix.  Occupation-basis paths,
 including the conjugation by Sym^N(u) in covariance_defect and
 twirl_choi, build no d**M object and answer past the first.  The Kraus
 entry guard bounds the entries of the optimal cloner's Kraus operators.
-The branch guard bounds the summands pieri_branch lists.
+The branch guard bounds the summands pieri_branch lists.  Each limit is
+a fixed constant: no function or command takes another value.
 """
 
 STRUCTURAL_TOL = 1e-10

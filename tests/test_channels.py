@@ -295,12 +295,6 @@ def test_choi_and_twirl_guard_refuse_before_allocating():
         twirl_choi(channel, samples=1)
     with pytest.raises(DimensionGuardError):
         covariance_defect(channel, samples=1)
-    small = optimal_cloner(ClonerSpec(2, 1, 2))  # side 2 * 3 = 6
-    with pytest.raises(DimensionGuardError):
-        choi(small, guard=5)
-    with pytest.raises(DimensionGuardError):
-        twirl_choi(small, samples=1, guard=5)
-    assert choi(small, guard=6).shape == (6, 6)
 
 
 # --- the batched sampler against the per-state loop it replaced ------------
@@ -740,8 +734,12 @@ def test_conjugation_matches_dense_oracle():
 
 
 def test_full_basis_conjugation_keeps_the_dense_guard():
-    channel = su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4)
     u = haar_unitary(2, np.random.default_rng(5))
-    with pytest.raises(DimensionGuardError):
-        conjugate_channel(channel, u, guard=15)  # u^{x 4} has side 16
-    assert conjugate_channel(channel, u, guard=16).out_dim == 16
+    # u^{x 13} has side 2^13 = 8192, above the dense guard
+    kraus = np.zeros((1, 2**13, 2))
+    kraus[0, 0, 0] = kraus[0, -1, 1] = 1.0
+    wide = Channel(kraus=kraus, d=2, n_in=1, m_out=13, basis_out=FULL_BASIS)
+    with pytest.raises(DimensionGuardError, match=r"d\^M = 2\^13 exceeds guard 4096"):
+        conjugate_channel(wide, u)
+    channel = su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4)
+    assert conjugate_channel(channel, u).out_dim == 16

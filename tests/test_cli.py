@@ -269,17 +269,27 @@ def test_omega_max_guard_exits_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "all"],
-    ["channel", "defect", "--samples", "2"],
-    ["channel", "twirl", "--samples", "2"],
+@pytest.mark.parametrize("argv,answered,refused,side", [
+    pytest.param("channel defect --samples 1", "--d 2 --n 62 --m 64", "--d 2 --n 63 --m 64",
+                 "64 * 65 = 4160", id="channel-defect"),
+    pytest.param("verify all", "--d 3 --n 9 --m 10", "--d 3 --n 10 --m 11",
+                 "66 * 78 = 5148", id="verify-all"),
+    # a twirl at side 4095 holds three dense matrices of 268 MB; only the refusal is run
+    pytest.param("channel twirl --samples 1", None, "--d 3 --n 10 --m 11",
+                 "66 * 78 = 5148", id="channel-twirl"),
 ])
-def test_guard_flag_sets_the_choi_limit(argv, capsys):
-    # the Choi matrix of (2, 1, 2) has side 2 * 3 = 6
-    size = ["--d", "2", "--n", "1", "--m", "2"]
-    assert run(argv + size + ["--guard", "5"]) == 3
-    assert "Choi matrix" in capsys.readouterr().err
-    assert run(argv + size + ["--guard", "6"]) == 0
+def test_choi_limit_is_fixed(argv, answered, refused, side, capsys):
+    # the Choi side limit is 4096: (2, 62, 64) has side 63 * 65 = 4095 and
+    # (3, 9, 10) has 55 * 66 = 3630
+    if answered:
+        assert run(argv.split() + answered.split()) == 0
+        assert capsys.readouterr().err == ""
+    assert run(argv.split() + refused.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Choi matrix of side in_dim * out_dim = {side} exceeds guard 4096\n"
+    )
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -453,16 +463,6 @@ def test_samples_below_one_exit_2(sub, samples, capsys):
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
 
 
-@pytest.mark.parametrize("guard", [0, -5])
-@pytest.mark.parametrize("argv", [["channel", "twirl"], ["channel", "defect"], ["verify", "all"]])
-def test_guard_below_one_exits_2(argv, guard, capsys):
-    code = run(argv + ["--d", "2", "--n", "1", "--m", "2", "--guard", str(guard)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: guard must be >= 1, got {guard}\n"
-
-
 @pytest.mark.parametrize("argv,flag", [
     (["dims"], "--guard"), (["dims"], "--seed"),
     (["cloner", "constants", "--m", "2"], "--guard"),
@@ -473,6 +473,9 @@ def test_guard_below_one_exits_2(argv, guard, capsys):
     (["channel", "omega", "--m", "2"], "--guard"),
     (["channel", "delta-one", "--m", "2"], "--guard"),
     (["cloner", "apply", "--m", "2"], "--guard"),
+    (["channel", "twirl", "--m", "2"], "--guard"),
+    (["channel", "defect", "--m", "2"], "--guard"),
+    (["verify", "all", "--m", "2"], "--guard"),
 ])
 def test_flags_a_command_does_not_read_exit_2(argv, flag, capsys):
     code = run(argv + ["--d", "2", "--n", "1", flag, "4"])
@@ -527,11 +530,23 @@ def test_table_format():
     assert "gamma" in out and "[2,3]" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_answer_past_the_int_digit_limit_exits_2(fmt, capsys):
+    # c2 of this weight has about 6000 digits, past Python's 4300-digit
+    # int-to-str limit; the table wrote its first lines before the crash
+    code = run(["rep", "casimir", "--weight", "9" * 3000 + ",0", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
+    assert captured.err.count("\n") == 1
+
+
 # The CLI surface, recorded from the parser whose commands were wired one
 # by one: per command, each option after -h, in order, as (option,
 # required, default), then its choices or its help string where it has one
 D, N, M = ("--d", True, None), ("--n", True, None), ("--m", True, None)
-SEED, GUARD = ("--seed", False, 0), ("--guard", False, None)
+SEED = ("--seed", False, 0)
 FORMAT = ("--format", False, "json", ["json", "table"])
 STATE = ("--state", False, None, "inline JSON amplitudes or a file path")
 WEIGHT = ("--weight", True, None)
@@ -549,11 +564,11 @@ CLI_SURFACE = {
     "rep branch": [WEIGHT, N, FORMAT],
     "rep multiplicity": [WEIGHT, M, FORMAT],
     "rep adjoint": [D, N, FORMAT],
-    "channel twirl": [D, N, M, SEED, ("--samples", False, 200), GUARD, FORMAT],
-    "channel defect": [D, N, M, SEED, ("--samples", False, 50), GUARD, FORMAT],
+    "channel twirl": [D, N, M, SEED, ("--samples", False, 200), FORMAT],
+    "channel defect": [D, N, M, SEED, ("--samples", False, 50), FORMAT],
     "channel omega": [D, N, M, SEED, FORMAT],
     "channel delta-one": [D, N, M, SEED, ("--samples", False, 2000), FORMAT],
-    "verify all": [D, N, M, SEED, GUARD, FORMAT],
+    "verify all": [D, N, M, SEED, FORMAT],
 }
 GROUP_HELP = [
     ("dims", "symmetric-subspace dimension"),

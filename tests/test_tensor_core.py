@@ -136,7 +136,6 @@ def test_dense_guard():
     check_dense_guard(2, 12)  # 4096 exactly, allowed
     with pytest.raises(DimensionGuardError):
         check_dense_guard(2, 13)
-    check_dense_guard(2, 13, guard=10000)
 
 
 def test_pure_state_normalization_enforced():
