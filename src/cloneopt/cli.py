@@ -82,6 +82,11 @@ def _input_state(args) -> tc.PureState:
     return tc.haar_state(args.d, args.seed)
 
 
+def _check_sites(name: str, count: int) -> None:
+    if not 0 <= count <= 64:
+        raise UsageError(f"{name} must be in [0, 64], got {count}")
+
+
 def _check_ranges(args) -> None:
     # a weight has d components; counted before any of them is parsed
     weight = getattr(args, "weight", None)
@@ -89,16 +94,15 @@ def _check_ranges(args) -> None:
     if d is not None and not 2 <= d <= 8:
         raise UsageError(f"d must be in [2, 8], got {d}")
     n = getattr(args, "n", None)
-    if n is not None and not 0 <= n <= 64:
-        raise UsageError(f"N must be in [0, 64], got {n}")
+    if n is not None:
+        _check_sites("N", n)
     for name, least in (("samples", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"{name} must be >= {least}, got {value}")
     m = getattr(args, "m", None)
     if m is not None:
-        if not 0 <= m <= 64:
-            raise UsageError(f"M must be in [0, 64], got {m}")
+        _check_sites("M", m)
         if n is not None and m < n:
             raise UsageError(f"M = {m} must be >= N = {n}")
 
@@ -184,8 +188,10 @@ def _cmd_omega_point(args):
         mu = tuple(int(p.strip()) for p in args.mu.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse mu {args.mu!r}") from exc
-    point = oo.CandidatePoint(m, mu)
     d, N, M = len(m), sum(mu), sum(m)
+    _check_sites("N", N)
+    _check_sites("M", M)
+    point = oo.CandidatePoint(m, mu)
     omega = oo.omega_of_point(point, d, N, M)
     gamma = oo.gamma_from_omega(omega, N, M)
     return {

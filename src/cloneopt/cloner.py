@@ -252,6 +252,9 @@ def _factor_eigvalsh(rows: np.ndarray, negative: int = 0) -> np.ndarray:
 # states; channels whose _CHUNK states already exceed the budget keep
 # _CHUNK, so no channel makes more calls than at a fixed 16, and none
 # holds more per call than the larger of 16 states and _CHUNK_BYTES.
+# The count, 16 bytes a complex entry, over-states delta_all's rows,
+# which are real (8 bytes) and hold no output state.  Only chunk sizes
+# depend on it, never values, so one rule serves both samplers.
 _CHUNK = 16
 _CHUNK_MAX = 64
 _CHUNK_BYTES = 2**20
@@ -370,13 +373,24 @@ def delta_all_numeric(
     T(sigma^N) - sigma^M = F J F^* with F = [K_1 v, ..., K_R v, v_out]
     of shape (out_dim, R+1), v = sigma^N and v_out = sigma^M as vectors,
     and J = diag(1, ..., 1, -1).  So the output state is never formed:
-    each values() call writes the kraus_images of v and then v_out as
-    the rows of one (B, R+1, out_dim) array (v and v_out from one table
-    of powers), and the trace norm is the sum of |lambda| over the
-    spectrum _factor_eigvalsh gives for it, an eigenproblem of side R+1
-    after a QR of F where R+1 < out_dim, of side out_dim otherwise
-    (d = 2, N = 1).  The out_dim - (R+1) zero eigenvalues add nothing to
-    the sum and are never formed.
+    each values() call writes the images K_r v and then v_out as the
+    rows of one (B, R+1, out_dim) array (v and v_out from one table of
+    powers), and the trace norm is the sum of |lambda| over the spectrum
+    _factor_eigvalsh gives for it, an eigenproblem of side R+1 after a
+    QR of F where R+1 < out_dim, of side out_dim otherwise (d = 2,
+    N = 1).  The out_dim - (R+1) zero eigenvalues add nothing to the sum
+    and are never formed.
+
+    The spectrum is taken in real arithmetic, from |psi|.  Operator K_c maps
+    occupation n to n + c with a real weight, and the coordinates of
+    psi^N are (psi^N)_n = s_n prod_i psi_i^(n_i) with s_n real.  With
+    psi_i = |psi_i| e^(i theta_i), F = P F_r Phi: F_r is the factor of
+    |psi|, P = diag(e^(i theta.m)) over the output occupations m and
+    Phi = diag(e^(-i theta.c), 1) over the columns.  Both are diagonal
+    unitaries and Phi J Phi^* = J, so F J F^* = P (F_r J F_r^T) P^*
+    has the spectrum of F_r J F_r^T for every state, exactly: this uses
+    only the occupation structure of the Kraus operators, not
+    covariance or optimality.
 
     Covariance of the optimal cloner makes the objective state
     independent, so sampling is confirmation rather than search; the top
@@ -390,11 +404,13 @@ def delta_all_numeric(
     """
     channel = optimal_cloner(spec)
     R, out_dim = len(channel.kraus), channel.out_dim
+    # the Kraus weights are real: the stack as (R*out_dim, in_dim) reals
+    stack = np.ascontiguousarray(channel.kraus.real).reshape(-1, channel.in_dim)
 
     def values(amps: np.ndarray) -> np.ndarray:
-        v_in, v_out = _product_powers(amps, spec.n_in, spec.m_out)
-        rows = np.empty((len(amps), R + 1, out_dim), dtype=complex)
-        rows[:, :R] = channel.kraus_images(v_in)
+        v_in, v_out = _product_powers(np.abs(amps), spec.n_in, spec.m_out)
+        rows = np.empty((len(amps), R + 1, out_dim))
+        rows[:, :R] = (v_in @ stack.T).reshape(len(amps), R, out_dim)
         rows[:, R] = v_out
         return np.sum(np.abs(_factor_eigvalsh(rows, negative=1)), axis=-1)
 

@@ -218,7 +218,10 @@ def product_power(psi: PureState | np.ndarray, N: int) -> np.ndarray:
 
 def _product_powers(amps: np.ndarray, *orders: int) -> list[np.ndarray]:
     """product_power(amps, N) for each N in orders, all read from one
-    table of powers psi_i^k, k <= max(orders).
+    table of powers psi_i^k, k <= max(orders).  The table, and so each
+    result, takes the dtype of amps: real amplitudes give real
+    coordinates.  product_power casts its amplitudes to complex first,
+    so its coordinates stay complex.
 
     The table is a running product, so a table of the largest order
     holds every smaller one: bit for bit, except that numpy rounds the
@@ -227,7 +230,7 @@ def _product_powers(amps: np.ndarray, *orders: int) -> list[np.ndarray]:
     below a larger order may differ from product_power in the last bit."""
     d, top = amps.shape[-1], max(orders)
     # powers[..., i, k] = psi_i^k for k = 0..top
-    powers = np.ones(amps.shape + (top + 1,), dtype=complex)
+    powers = np.ones(amps.shape + (top + 1,), dtype=amps.dtype)
     powers[..., 1:] = np.cumprod(np.repeat(amps[..., None], top, axis=-1), axis=-1)
     coords = []
     for N in orders:

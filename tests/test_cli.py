@@ -497,6 +497,31 @@ def test_weight_of_more_than_8_components_exits_2(argv):
     assert proc.stderr == "error: d must be in [2, 8], got 1000\n"
 
 
+def test_omega_point_answers_up_to_64_sites(capsys):
+    # the answer of the parent, which took labels of any size
+    code = run(["omega", "point", "--weight", "64,0", "--mu", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        '{"m": [64, 0], "mu": [1, 0], "f2": 125, "omega": [22, 1], '
+        '"gamma": [11, 32], "delta_one": [21, 64]}\n'
+    )
+
+
+@pytest.mark.parametrize("weight,mu,message", [
+    ("65,0", "1,0", "M must be in [0, 64], got 65"),
+    ("1000000000000000000000,0", "1,0", "M must be in [0, 64], got 1000000000000000000000"),
+    ("100,0", "70,0", "N must be in [0, 64], got 70"),
+], ids=["M-65", "M-1e21", "N-70"])
+def test_omega_point_beyond_64_sites_exits_2(weight, mu, message, capsys):
+    # N = sum(mu) and M = sum(m) obey the --n and --m ranges
+    code = run(["omega", "point", "--weight", weight, "--mu", mu])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("weight", ["64,48,32,16,0", "448,384,320,256,192,128,64,0"])
 def test_rep_branch_edges_answer_or_refuse(weight):
     # 83,521 and C(71, 7) = 1,329,890,705 summands, both above the guard

@@ -31,6 +31,7 @@ from cloneopt import (
 )
 from cloneopt import cloner
 from cloneopt.cloner import Channel
+from cloneopt.tensor_core import _product_powers
 from cloneopt.tolerances import KRAUS_ENTRY_GUARD
 
 from reference import constant_output_channel, dense_cloner_output, occupation_index
@@ -272,9 +273,14 @@ def test_delta_all_factor_route_matches_dense_oracle(d, N, M, monkeypatch):
 def padded_delta_all_values(channel, amps):
     """Oracle: delta_all's values() as it was before the row buffer, the
     images and v_out joined by a concatenate and the spectrum padded with
-    zeros to out_dim and sorted before its absolute values are summed."""
-    images = channel.kraus_images(product_power(amps, channel.n_in))
-    A = np.concatenate([np.swapaxes(images, -1, -2), product_power(amps, channel.m_out)[..., None]], axis=-1)
+    zeros to out_dim and sorted before its absolute values are summed.
+    Complex amplitudes are solved in complex arithmetic, as before the
+    real route; real ones, with the real parts of the Kraus weights, in
+    real arithmetic."""
+    kraus = channel.kraus if np.iscomplexobj(amps) else channel.kraus.real
+    v_in = _product_powers(amps, channel.n_in)[0]
+    images = (v_in @ kraus.reshape(-1, channel.in_dim).T).reshape(v_in.shape[:-1] + kraus.shape[:2])
+    A = np.concatenate([np.swapaxes(images, -1, -2), _product_powers(amps, channel.m_out)[0][..., None]], axis=-1)
     side, k = A.shape[-2:]
     signs = np.r_[np.ones(k - 1), -1.0]
     T = np.linalg.qr(A, mode="r") if k < side else A
@@ -285,14 +291,35 @@ def padded_delta_all_values(channel, amps):
 
 @pytest.mark.parametrize("d,N,M", DELTA_ALL_SIZES)
 def test_delta_all_values_match_the_padded_solve(d, N, M, monkeypatch):
-    # the same spectra summed in another order: a few ulps apart at most
+    # the same spectra summed in another order: a few ulps apart at most.
+    # The oracle runs in the arithmetic values() runs in, real on |amps|;
+    # the next test relates that to the complex solve.
     spec = ClonerSpec(d, N, M)
     values = delta_all_values(spec, monkeypatch)
     rng = np.random.default_rng(11)
     amps = rng.normal(size=(64, d)) + 1j * rng.normal(size=(64, d))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     got = values(amps)
-    assert np.max(np.abs(got - padded_delta_all_values(optimal_cloner(spec), amps))) <= 1e-15
+    assert np.max(np.abs(got - padded_delta_all_values(optimal_cloner(spec), np.abs(amps)))) <= 1e-15
+
+
+@pytest.mark.parametrize("d,N,M", DELTA_ALL_SIZES)
+def test_delta_all_values_do_not_depend_on_phases(d, N, M, monkeypatch):
+    # F = P F_r Phi with diagonal unitaries P and Phi, so the complex
+    # solve at psi and the real one at |psi| share their spectrum
+    spec = ClonerSpec(d, N, M)
+    channel = optimal_cloner(spec)
+    values = delta_all_values(spec, monkeypatch)
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=(64, d)) + 1j * rng.normal(size=(64, d))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    real = padded_delta_all_values(channel, np.abs(amps))
+    assert np.max(np.abs(padded_delta_all_values(channel, amps) - real)) <= 1e-12
+    # values() reads |amps| alone, so phases that keep every modulus
+    # exact, quarter turns, must not move the values by a bit (other
+    # phases round the moduli, which moves them by ~1e-15)
+    phases = np.array([1, 1j, -1, -1j])[rng.integers(4, size=amps.shape)]
+    assert np.array_equal(values(np.abs(amps) * phases), values(amps))
 
 
 def test_delta_all_hands_the_qr_column_major_factors(monkeypatch):
@@ -303,13 +330,15 @@ def test_delta_all_hands_the_qr_column_major_factors(monkeypatch):
     layouts = []
 
     def recording(a, *args, **kwargs):
-        layouts.append((a.shape[-2:], np.swapaxes(a, -1, -2).flags.c_contiguous))
+        layouts.append((a.shape[-2:], np.swapaxes(a, -1, -2).flags.c_contiguous, a.dtype))
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
     delta_all_numeric(ClonerSpec(4, 1, 5), samples=20, seed=3)
     assert layouts
-    assert all(shape == (56, 36) and column_major for shape, column_major in layouts)
+    assert all(shape == (56, 36) and column_major for shape, column_major, _ in layouts)
+    # the factors are real: a complex one is a solve in complex arithmetic
+    assert all(dtype == np.float64 for *_, dtype in layouts)
 
 
 def test_delta_all_solves_eigenproblems_of_side_r_plus_one(monkeypatch):

@@ -359,6 +359,14 @@ def test_shared_powers_table_is_exact(d):
                 # the running product's first N + 1 columns do not depend
                 # on how far it runs, so the order is read bit for bit
                 assert np.array_equal(shared_n, own_table_product_power(amps, N))
+        # real amplitudes read every order up to M from a real table, the
+        # real part of the complex table of the same numbers bit for bit
+        # (every imaginary part it multiplies is 0)
+        real = _product_powers(np.abs(amps), *range(1, M + 1))
+        as_complex = _product_powers(np.abs(amps).astype(complex), *range(1, M + 1))
+        for got, want in zip(real, as_complex):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want.real)
 
 
 # at (66, 1) occupation vectors read as binary numbers would overflow int64
