@@ -1,44 +1,36 @@
 """Build every qubit cloning component for N=1 -> M=3 and measure it.
 
-For qubits the covariant components are labelled by spins (alpha, beta)
-coupling to the input spin gamma = N/2. Each label gives a concrete
-channel; measuring omega on the constructed channel reproduces the
-exact spin formula, and the best label reproduces the optimal cloner.
+Every covariant, permutation-symmetric component carries a label (m, mu)
+of the domain that omega max searches: m a partition of M into two
+rows, mu the N input boxes.  Each label gives a concrete channel;
+measuring omega on the constructed channel reproduces the exact Casimir
+formula, and the maximizing label reproduces the optimal cloner.
 """
-from fractions import Fraction
-
 import numpy as np
 
 from cloneopt import (
     ClonerSpec,
-    SU2Labels,
     choi,
+    enumerate_W1,
+    maximize_brute,
     omega_measure,
-    omega_su2,
+    omega_of_point,
     optimal_cloner,
     su2_component_cloner,
 )
 
 N, M = 1, 3
-gamma = Fraction(N, 2)
-print(f"qubit components for N={N} -> M={M} (gamma = {gamma}):\n")
+print(f"qubit components for N={N} -> M={M}:\n")
 
-two_alpha = M % 2
-while two_alpha <= M:
-    alpha = Fraction(two_alpha, 2)
-    beta = abs(alpha - gamma)
-    while beta <= alpha + gamma:
-        channel = su2_component_cloner(SU2Labels(alpha, beta, gamma), N, M)
-        measured = omega_measure(channel)
-        exact = omega_su2(alpha, beta, gamma)
-        print(f"  alpha={alpha}, beta={beta}:  omega measured {measured:.10f}"
-              f"  exact {exact}")
-        beta += 1
-    two_alpha += 2
+for point in enumerate_W1(2, N, M):
+    measured = omega_measure(su2_component_cloner(point))
+    exact = omega_of_point(point, 2, N, M)
+    print(f"  m={point.m}, mu={point.mu}:  omega measured {measured:.10f}"
+          f"  exact {exact}")
 
-best = SU2Labels(Fraction(M, 2), Fraction(M - N, 2), gamma)
-component = su2_component_cloner(best, N, M)
+best = maximize_brute(2, N, M).maximizers[0]
+component = su2_component_cloner(best)
 reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
 dist = np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))
-print(f"\nbest label alpha={best.alpha}, beta={best.beta} vs optimal cloner:")
+print(f"\nmaximizing label m={best.m}, mu={best.mu} vs optimal cloner:")
 print("Choi distance =", float(dist))

@@ -48,7 +48,6 @@ from .cloner import (
     single_clone_marginal,
 )
 from .channels import (
-    SU2Labels,
     choi,
     covariance_defect,
     delta_one_numeric,
@@ -102,7 +101,6 @@ __all__ = [
     "optimal_cloner",
     "shrinking_factor",
     "single_clone_marginal",
-    "SU2Labels",
     "choi",
     "covariance_defect",
     "delta_one_numeric",

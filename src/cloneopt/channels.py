@@ -5,20 +5,20 @@ is Channel.completeness_defect), symmetric representations Sym^N(u) on
 the occupation basis, the seeded Haar twirl of a Choi matrix, covariance
 defects, direct measurement of the omega functional and of the
 single-clone error for arbitrary cloning channels, and explicit qubit
-component cloners built from angular-momentum coupling on the
-occupation tables.
+component cloners, one per label (m, mu) of the omega_opt domain at
+d = 2, built from angular-momentum coupling on the occupation tables.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
 from .errors import ChannelPropertyError, DimensionGuardError
-from .omega_opt import _check_spins
+from .omega_opt import CandidatePoint, _check_spins
 from .tensor_core import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
@@ -32,7 +32,6 @@ from .tensor_core import (
 from .tolerances import DEFAULT_DENSE_GUARD
 
 __all__ = [
-    "SU2Labels",
     "symmetric_rep",
     "kron_power",
     "check_choi_guard",
@@ -44,22 +43,6 @@ __all__ = [
     "delta_one_numeric",
     "su2_component_cloner",
 ]
-
-
-@dataclass(frozen=True)
-class SU2Labels:
-    """Spin labels (alpha, beta, gamma) of a qubit component cloner;
-    gamma = N/2 is fixed by the input count.  Labels that omega_su2
-    refuses raise the same ValueError here."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self):
-        spins = _check_spins(self.alpha, self.beta, self.gamma)
-        for name, spin in zip(("alpha", "beta", "gamma"), spins):
-            object.__setattr__(self, name, spin)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -334,7 +317,7 @@ def su2_coupling_isometry(
     largest component real positive.
     """
     alpha, beta, gamma = _check_spins(alpha, beta, gamma)
-    da, db = int(2 * alpha) + 1, int(2 * beta) + 1
+    da, db, two_gamma = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma)
     # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
     # qubits, with one spin moved from up (mode 0) to down (mode 1)
     lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)
@@ -342,11 +325,11 @@ def su2_coupling_isometry(
     lower_tot = np.kron(lower_a, np.eye(db)) + np.kron(np.eye(da), lower_b)
     raise_tot = lower_tot.conj().T
 
-    def mag(ia: int, ib: int) -> Fraction:
-        return (alpha - ia) + (beta - ib)
-
-    sector = [ia * db + ib for ia in range(da) for ib in range(db) if mag(ia, ib) == gamma]
-    upper = [ia * db + ib for ia in range(da) for ib in range(db) if mag(ia, ib) == gamma + 1]
+    # |alpha, alpha - ia> (x) |beta, beta - ib> has magnetization gamma
+    # exactly when ia + ib = s, and gamma + 1 when ia + ib = s - 1
+    s = int(alpha + beta - gamma)
+    sector = [ia * db + ib for ia in range(da) for ib in range(db) if ia + ib == s]
+    upper = [ia * db + ib for ia in range(da) for ib in range(db) if ia + ib == s - 1]
     block = raise_tot[np.ix_(upper, sector)] if upper else np.zeros((0, len(sector)))
     _, svals, vh = np.linalg.svd(block) if upper else (None, np.array([]), np.eye(len(sector)))
     null_dim = len(sector) - int(np.sum(svals > 1e-10))
@@ -357,31 +340,32 @@ def su2_coupling_isometry(
     pivot = top[np.argmax(np.abs(top))]
     top *= abs(pivot) / pivot
 
+    # lowering |gamma, gamma - k> gives sqrt((2 gamma - k)(k + 1)) |gamma, gamma - k - 1>
     cols = [top]
-    m = gamma
-    while m > -gamma:
-        nxt = lower_tot @ cols[-1] / math.sqrt(float((gamma + m) * (gamma - m + 1)))
-        cols.append(nxt)
-        m -= 1
+    for k in range(two_gamma):
+        cols.append(lower_tot @ cols[-1] / math.sqrt((two_gamma - k) * (k + 1)))
     return np.column_stack(cols)
 
 
-def su2_component_cloner(labels: SU2Labels, N: int, M: int) -> Channel:
-    """Extremal covariant qubit cloner for spins (alpha, beta, gamma=N/2).
+def su2_component_cloner(point: CandidatePoint) -> Channel:
+    """Extremal covariant qubit cloner of the label point = (m, mu), with
+    N = sum(mu) and M = sum(m); infeasible points raise ValueError.
 
-    State map: embed the input spin-gamma state through the coupling
-    isometry into spin-alpha (x) spin-beta, push spin alpha into the
-    M-qubit output through a representative embedding, and trace out the
-    beta factor.  Unital and completely positive by construction.
+    The spins are alpha = (m_1 - m_2)/2, gamma = N/2 and
+    beta = alpha + gamma - mu_1, so omega_measure of the channel is
+    omega_of_point(point, 2, N, M).  State map: embed the input
+    spin-gamma state through the coupling isometry into spin-alpha (x)
+    spin-beta, push spin alpha into the M-qubit output through a
+    representative embedding, and trace out the beta factor.  Unital and
+    completely positive by construction.
     """
-    alpha, beta, gamma = labels.alpha, labels.beta, labels.gamma
-    if gamma != Fraction(N, 2):
-        raise ValueError(f"gamma must equal N/2 = {Fraction(N, 2)}, got {gamma}")
-    if 2 * alpha > M:
-        raise ValueError(f"alpha = {alpha} exceeds M/2 = {Fraction(M, 2)}")
-    V = su2_coupling_isometry(alpha, beta, gamma)
+    N, M = sum(point.mu), sum(point.m)
+    point.validate(2, N, M)
+    alpha, gamma = Fraction(point.m[0] - point.m[1], 2), Fraction(N, 2)
+    beta = alpha + gamma - point.mu[0]
     W = spin_embedding(alpha, M)
-    da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma) + 1
+    V = su2_coupling_isometry(alpha, beta, gamma)
+    da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, N + 1
     V3 = V.reshape(da, db, dg)
     return Channel(
         kraus=W @ V3.transpose(1, 0, 2),

@@ -252,8 +252,8 @@ def _cmd_channel_twirl(args):
     channel = cl.optimal_cloner(spec)
     # T is a twirl fixed point iff the averaged Choi matrix matches
     averaged = ch.twirl_choi(channel, args.samples, args.seed)
-    diff = averaged - ch.choi(channel)
-    dist = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+    averaged -= ch.choi(channel)
+    dist = float(np.max(np.abs(np.linalg.eigvalsh(averaged))))
     return se.estimate_report(dist, args.samples, args.seed)
 
 

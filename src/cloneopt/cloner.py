@@ -181,10 +181,9 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     # operator c maps input n to the output occupation m = n + c
     m = occ_c[:, None] + occ_n[None]
     rows = _rank(m.reshape(-1, d), M).reshape(count, dim_n)
-    # each product below is at most binom(M, N) (Vandermonde), so int64
-    # holds it exactly wherever binom(M, N) does; Python ints otherwise
-    exact = np.int64 if math.comb(M, N) < 2**63 else object
-    comb = np.array([[math.comb(a, b) for b in range(N + 1)] for a in range(M + 1)], dtype=exact)
+    # exact Python ints: each product below is at most binom(M, N)
+    # (Vandermonde), which outgrows int64 at library sizes
+    comb = np.array([[math.comb(a, b) for b in range(N + 1)] for a in range(M + 1)], dtype=object)
     # squared entry: (d[N]/d[M]) prod_i binom(m_i, n_i) / binom(M, N)
     coeff = dim_n / (dim_m * math.comb(M, N))
     weights = np.prod(comb[m, occ_n], axis=-1).astype(float)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionGuardError
 from .rep_theory import check_dominant, is_dominant
+from .tolerances import DEFAULT_D_GUARD, DEFAULT_M_GUARD
 
 __all__ = [
     "CandidatePoint",
@@ -33,9 +34,6 @@ __all__ = [
     "maximize_greedy",
     "omega_su2",
 ]
-
-DEFAULT_M_GUARD = 30
-DEFAULT_D_GUARD = 8
 
 
 @dataclass(frozen=True)

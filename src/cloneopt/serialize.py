@@ -38,7 +38,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     return {
         "rows": mat.shape[0],
         "cols": mat.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "entries": np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist(),
     }
 
 

@@ -14,7 +14,6 @@ import pytest
 from cloneopt import (
     ClonerSpec,
     CandidatePoint,
-    SU2Labels,
     adjoint_multiplicity,
     all_clone_overlap,
     choi,
@@ -144,31 +143,16 @@ def test_criterion_07_su2_consistency():
     report(7, "spin formula equals the Casimir formula on every d=2 domain point, M <= 12")
 
 
-def _admissible_su2_labels(N, M):
-    gamma = Fraction(N, 2)
-    labels = []
-    two_alpha = M % 2
-    while two_alpha <= M:
-        alpha = Fraction(two_alpha, 2)
-        beta = abs(alpha - gamma)
-        while beta <= alpha + gamma:
-            labels.append(SU2Labels(alpha, beta, gamma))
-            beta += 1
-        two_alpha += 2
-    return labels
-
-
 def test_criterion_08_component_cloner_realization():
     checked = 0
     for N in range(1, 5):
         for M in range(N, 9):
-            for labels in _admissible_su2_labels(N, M):
-                channel = su2_component_cloner(labels, N, M)
-                exact = float(omega_su2(labels.alpha, labels.beta, labels.gamma))
-                assert abs(omega_measure(channel) - exact) <= 1e-8, (N, M, labels)
+            for point in enumerate_W1(2, N, M):
+                channel = su2_component_cloner(point)
+                exact = float(omega_of_point(point, 2, N, M))
+                assert abs(omega_measure(channel) - exact) <= 1e-8, (N, M, point)
                 checked += 1
-            best = SU2Labels(Fraction(M, 2), Fraction(M - N, 2), Fraction(N, 2))
-            component = su2_component_cloner(best, N, M)
+            component = su2_component_cloner(CandidatePoint((M, 0), (N, 0)))
             reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
             dist = float(
                 np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))

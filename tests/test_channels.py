@@ -1,4 +1,5 @@
 """CP-map machinery: Choi, twirl, covariance, direct omega, qubit components."""
+import hashlib
 import itertools
 import math
 import time
@@ -14,15 +15,17 @@ from cloneopt import (
     ChannelPropertyError,
     ClonerSpec,
     DensityOperator,
+    CandidatePoint,
     DimensionGuardError,
-    SU2Labels,
     choi,
     covariance_defect,
     delta_all_numeric,
     delta_one_closed_form,
     delta_one_numeric,
+    enumerate_W1,
     haar_state,
     omega_measure,
+    omega_of_point,
     one_body_operator,
     optimal_cloner,
     product_power,
@@ -222,7 +225,7 @@ def test_spin_lowering_matrix_elements():
 def test_component_cloner_refuses_large_m_before_building():
     start = time.perf_counter()
     with pytest.raises(DimensionGuardError):
-        su2_component_cloner(SU2Labels(Fraction(13, 2), Fraction(6), Fraction(1, 2)), 1, 13)
+        su2_component_cloner(CandidatePoint((13, 0), (1, 0)))
     assert time.perf_counter() - start < 1.0
 
 
@@ -239,49 +242,46 @@ def test_coupling_isometry_intertwines():
 
 
 def test_component_cloner_triangle_guard():
-    with pytest.raises(ValueError):
-        su2_component_cloner(SU2Labels(Fraction(2), Fraction(0), Fraction(1)), 2, 4)
-    with pytest.raises(ValueError):
-        su2_component_cloner(SU2Labels(Fraction(3), Fraction(5, 2), Fraction(1, 2)), 1, 4)
-    with pytest.raises(ValueError):
-        # gamma must equal N/2
-        su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 1, 2)
-    with pytest.raises(ValueError):
-        # alpha + beta + gamma = 5/2 is not an integer; this label used to
-        # reach an assert in su2_coupling_isometry
-        su2_component_cloner(SU2Labels(Fraction(1), Fraction(1, 2), Fraction(1)), 2, 3)
+    for m, mu in [
+        ((1, 2), (1, 0)),  # m not dominant
+        ((3, 1), (3, 0)),  # mu_1 above m_1 - m_2: the spin triangle fails
+        ((2, -1), (1, 0)),  # m_2 negative
+        ((2, 1, 0), (1, 0, 0)),  # not a qubit label
+    ]:
+        with pytest.raises(ValueError):
+            su2_component_cloner(CandidatePoint(m, mu))
 
 
-def admissible_labels(N, M):
-    gamma = Fraction(N, 2)
-    out = []
-    two_alpha = M % 2
-    while two_alpha <= M:
-        alpha = Fraction(two_alpha, 2)
-        beta = abs(alpha - gamma)
-        while beta <= alpha + gamma:
-            out.append(SU2Labels(alpha, beta, gamma))
-            beta += 1
-        two_alpha += 2
-    return out
+# sha256 of the Kraus stacks of every point of enumerate_W1(2, N, M),
+# N in 0..4 outside M in 0..8 except N = M = 0, in enumeration order
+COMPONENT_KRAUS_SHA256 = "dc59b8b9af697c8524106920c37ff104174244073d114ae850849528f67a445c"
+
+
+def test_component_cloner_kraus_digest():
+    digest = hashlib.sha256()
+    for N in range(5):
+        for M in range(9):
+            if N == M == 0:
+                continue
+            for point in enumerate_W1(2, N, M):
+                kraus = su2_component_cloner(point).kraus
+                digest.update(np.ascontiguousarray(kraus).tobytes())
+    assert digest.hexdigest() == COMPONENT_KRAUS_SHA256
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (1, 3), (2, 3), (2, 4)])
 def test_component_cloner_cp_tp_and_omega(N, M):
-    from cloneopt import omega_su2
-
-    for labels in admissible_labels(N, M):
-        channel = su2_component_cloner(labels, N, M)
+    for point in enumerate_W1(2, N, M):
+        channel = su2_component_cloner(point)
         assert channel.completeness_defect() < 1e-10
         assert min_choi_eigenvalue(channel) >= -1e-10
-        exact = float(omega_su2(labels.alpha, labels.beta, labels.gamma))
-        assert abs(omega_measure(channel) - exact) < 1e-8, labels
+        exact = float(omega_of_point(point, 2, N, M))
+        assert abs(omega_measure(channel) - exact) < 1e-8, point
 
 
 def test_optimal_labels_reproduce_optimal_cloner():
     for N, M in [(1, 2), (2, 3), (1, 3)]:
-        labels = SU2Labels(Fraction(M, 2), Fraction(M - N, 2), Fraction(N, 2))
-        component = su2_component_cloner(labels, N, M)
+        component = su2_component_cloner(CandidatePoint((M, 0), (N, 0)))
         reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
         dist = np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))
         assert dist < 1e-8
@@ -412,13 +412,13 @@ def test_refinement_calls_are_few_and_bounded(iters):
 
 
 @pytest.mark.parametrize("labels,N,M", [
-    (SU2Labels(Fraction(3, 2), Fraction(1), Fraction(1, 2)), 1, 3),
-    (SU2Labels(Fraction(1, 2), Fraction(0), Fraction(1, 2)), 1, 3),
-    (SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4),
+    (CandidatePoint((3, 0), (1, 0)), 1, 3),
+    (CandidatePoint((2, 1), (1, 0)), 1, 3),
+    (CandidatePoint((3, 1), (1, 1)), 2, 4),
 ])
 def test_delta_one_numeric_matches_per_state_loop_full_basis(labels, N, M):
-    channel = su2_component_cloner(labels, N, M)
-    assert channel.basis_out == FULL_BASIS
+    channel = su2_component_cloner(labels)
+    assert (channel.n_in, channel.m_out, channel.basis_out) == (N, M, FULL_BASIS)
     batched = delta_one_numeric(channel, samples=37, seed=5)
     assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
 
@@ -596,7 +596,7 @@ def factor_test_channels():
         optimal_cloner(ClonerSpec(3, 3, 3)),  # R 1, side 100
         constant_output_channel(2, 1, 3),  # R 2, side 8
         constant_output_channel(2, 2, 2),  # R 3, side 9
-        su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4),  # R 3, side 48
+        su2_component_cloner(CandidatePoint((3, 1), (1, 1))),  # R 3, side 48
         Channel(kraus=[np.eye(2, dtype=complex) / math.sqrt(3)] * 3, d=2, n_in=1, m_out=1),  # R 3, side 4
         Channel(kraus=[np.eye(2, dtype=complex) / 2] * 4, d=2, n_in=1, m_out=1),  # R 4, side 4
     ]
@@ -741,5 +741,5 @@ def test_full_basis_conjugation_keeps_the_dense_guard():
     wide = Channel(kraus=kraus, d=2, n_in=1, m_out=13, basis_out=FULL_BASIS)
     with pytest.raises(DimensionGuardError, match=r"d\^M = 2\^13 exceeds guard 4096"):
         conjugate_channel(wide, u)
-    channel = su2_component_cloner(SU2Labels(Fraction(1), Fraction(1), Fraction(1)), 2, 4)
+    channel = su2_component_cloner(CandidatePoint((3, 1), (1, 1)))
     assert conjugate_channel(channel, u).out_dim == 16

@@ -14,9 +14,9 @@ import pytest
 
 from cloneopt import (
     BasisError,
+    CandidatePoint,
     Channel,
     ClonerSpec,
-    SU2Labels,
     maximize_brute,
     optimal_cloner,
     su2_component_cloner,
@@ -26,6 +26,7 @@ from cloneopt.serialize import (
     channel_from_json,
     channel_to_json,
     fraction_pair,
+    dumps,
     matrix_from_json,
     matrix_to_json,
     omega_report_to_json,
@@ -648,6 +649,17 @@ def test_matrix_roundtrip():
     assert np.allclose(matrix_from_json(doc), mat)
 
 
+def test_matrix_to_json_matches_per_entry_floats():
+    mat = np.empty((2, 3), dtype=complex)  # set parts apart: complex sums drop -0.0
+    mat.real = [[-0.0, 1e308, 1.5], [0.0, 5e-324, -2.25]]
+    mat.imag = [[5e-324, -0.0, 0.0], [-1e308, -0.0, 3.0]]
+    doc = matrix_to_json(mat)
+    entries = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+    oracle = {"rows": 2, "cols": 3, "entries": entries}
+    assert dumps(doc).encode() == dumps(oracle).encode()
+    assert dumps(doc).count("-0.0") == dumps(oracle).count("-0.0") > 0
+
+
 def test_channel_roundtrip():
     channel = optimal_cloner(ClonerSpec(2, 1, 2))
     doc = channel_to_json(channel)
@@ -658,7 +670,7 @@ def test_channel_roundtrip():
     # the stack survives the list of matrices in the JSON exactly
     for channel in (
         channel,
-        su2_component_cloner(SU2Labels(Fraction(3, 2), Fraction(1), Fraction(1, 2)), 1, 3),
+        su2_component_cloner(CandidatePoint((3, 0), (1, 0))),
         constant_output_channel(3, 1, 2),
     ):
         doc = channel_to_json(channel)

@@ -10,9 +10,9 @@ import pytest
 from cloneopt import (
     FULL_BASIS,
     SYMMETRIC_BASIS,
+    CandidatePoint,
     ClonerSpec,
     DensityOperator,
-    SU2Labels,
     all_clone_overlap,
     choi,
     delta_all_numeric,
@@ -117,8 +117,8 @@ def loop_optimal_cloner(d, N, M):
 
 
 # every size within the Kraus entry guard at d <= 6, N <= 5, M <= N + 5,
-# and large M; binom(150, 70) exceeds int64, so (2, 70, 150) multiplies
-# Python ints
+# and large M; binom(150, 70) exceeds int64, so (2, 70, 150) checks that
+# the weight products are exact Python ints
 KRAUS_LOOP_SIZES = [
     (d, N, M) for d in range(2, 7) for N in range(1, 6) for M in range(N, N + 6)
     if sym_dimension(d, M - N) * sym_dimension(d, M) * sym_dimension(d, N) <= KRAUS_ENTRY_GUARD
@@ -199,7 +199,7 @@ def test_apply_broadcasts_over_leading_axes():
     # apply_fast is the pure-input map: apply_fast(v) == apply(v v^*)
     channels = [optimal_cloner(ClonerSpec(*dims)) for dims in DESK_GRID]
     channels += [
-        su2_component_cloner(SU2Labels(Fraction(3, 2), Fraction(1, 2), Fraction(1)), 2, 3),
+        su2_component_cloner(CandidatePoint((3, 0), (2, 0))),
         constant_output_channel(3, 2, 3),
     ]
     assert channels[-2].basis_out == FULL_BASIS
