@@ -30,7 +30,7 @@ for point in enumerate_W1(2, N, M):
 
 best = maximize_brute(2, N, M).maximizers[0]
 component = su2_component_cloner(best)
-reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
+reference = optimal_cloner(ClonerSpec(2, N, M))
 dist = np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))
 print(f"\nmaximizing label m={best.m}, mu={best.mu} vs optimal cloner:")
 print("Choi distance =", float(dist))

@@ -6,7 +6,6 @@ the exact representation-theoretic maximization that singles it out.
 """
 
 from .errors import (
-    BasisError,
     ChannelPropertyError,
     CloneOptError,
     DimensionGuardError,
@@ -17,7 +16,6 @@ from .tolerances import (
     STRUCTURAL_TOL,
 )
 from .tensor_core import (
-    FULL_BASIS,
     SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
@@ -69,14 +67,12 @@ from .omega_opt import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisError",
     "ChannelPropertyError",
     "CloneOptError",
     "DimensionGuardError",
     "DEFAULT_DENSE_GUARD",
     "STATE_TOL",
     "STRUCTURAL_TOL",
-    "FULL_BASIS",
     "SYMMETRIC_BASIS",
     "DensityOperator",
     "PureState",

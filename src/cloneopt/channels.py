@@ -20,14 +20,11 @@ from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
 from .errors import ChannelPropertyError, DimensionGuardError
 from .omega_opt import CandidatePoint, _check_spins
 from .tensor_core import (
-    FULL_BASIS,
-    SYMMETRIC_BASIS,
     DensityOperator,
     check_dense_guard,
     one_body_operator,
     product_power,
     single_site_marginal,
-    sym_embed,
 )
 from .tolerances import DEFAULT_DENSE_GUARD
 
@@ -55,8 +52,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kron_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u^{x n} on the full tensor space; raises DimensionGuardError when
-    d^n exceeds the dense guard."""
+    """u^{x n} on the full tensor space, the tests' dense oracle for
+    symmetric_rep; raises DimensionGuardError when d^n exceeds the dense
+    guard."""
     check_dense_guard(u.shape[0], n)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
@@ -88,20 +86,15 @@ def symmetric_rep(u: np.ndarray, N: int) -> np.ndarray:
     Hermitian generator H of u; no d^N object is built.
     """
     H = _unitary_generator(u)
-    mu, W = np.linalg.eigh(one_body_operator(H, u.shape[0], N, SYMMETRIC_BASIS))
+    mu, W = np.linalg.eigh(one_body_operator(H, u.shape[0], N))
     return (W * np.exp(1j * mu)) @ W.conj().T
 
 
 def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
-    """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M.
-
-    A full-basis output needs u^{x M} itself, which raises
-    DimensionGuardError when d^M exceeds the dense guard."""
+    """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M,
+    with U_N = Sym^N(u) and U_M = Sym^M(u)."""
     u_in = symmetric_rep(u, channel.n_in)
-    if channel.basis_out == SYMMETRIC_BASIS:
-        u_out = symmetric_rep(u, channel.m_out)
-    else:
-        u_out = kron_power(u, channel.m_out)
+    u_out = symmetric_rep(u, channel.m_out)
     return replace(channel, kraus=u_out.conj().T @ channel.kraus @ u_in)
 
 
@@ -231,9 +224,8 @@ def omega_measure(channel: Channel) -> float:
     den = 0.0
     pairs = []
     for a in traceless_hermitian_basis(d):
-        A = one_body_operator(a, d, channel.m_out, channel.basis_out)
-        L = channel.apply_observable(A)
-        R = one_body_operator(a, d, channel.n_in, SYMMETRIC_BASIS)
+        L = channel.apply_observable(one_body_operator(a, d, channel.m_out))
+        R = one_body_operator(a, d, channel.n_in)
         num += float(np.real(np.vdot(R, L)))
         den += float(np.real(np.vdot(R, R)))
         pairs.append((L, R))
@@ -250,8 +242,8 @@ def omega_measure(channel: Channel) -> float:
 
 
 def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> float:
-    """Sampled supremum over pure inputs (and output sites) of the
-    single-clone probability deviation.
+    """Sampled supremum over pure inputs of the single-clone probability
+    deviation.
 
     The inner supremum over effects 0 <= a <= 1 is evaluated analytically
     as the sum of positive eigenvalues of (marginal - |psi><psi|); the
@@ -261,18 +253,12 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     the chunk size, and the states of a run are the first of any longer
     run.
     """
-    d, N, M = channel.d, channel.n_in, channel.m_out
-    sites = [0] if channel.basis_out == SYMMETRIC_BASIS else list(range(M))
-
     def values(amps: np.ndarray) -> np.ndarray:
-        rho_out = channel.apply_fast(product_power(amps, N))
-        dens = DensityOperator(rho_out, channel.basis_out, d, M)
+        rho_out = channel.apply_fast(product_power(amps, channel.n_in))
+        dens = DensityOperator(rho_out, channel.d, channel.m_out)
         proj = amps[..., :, None] * amps.conj()[..., None, :]
-        best_site = np.zeros(amps.shape[0])
-        for k in sites:
-            vals = np.linalg.eigvalsh(single_site_marginal(dens, site=k) - proj)
-            best_site = np.maximum(best_site, np.sum(np.where(vals > 0, vals, 0.0), axis=-1))
-        return best_site
+        vals = np.linalg.eigvalsh(single_site_marginal(dens) - proj)
+        return np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
 
     return _sampled_supremum(values, channel, samples, seed)
 
@@ -280,29 +266,6 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
 # ---------------------------------------------------------------------------
 # Qubit component cloners from angular-momentum coupling
 # ---------------------------------------------------------------------------
-
-
-def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
-    """Isometry from spin alpha into the M-fold qubit tensor product.
-
-    Representative copy: the first 2*alpha sites carry the symmetric
-    (highest-spin) block, the remaining sites are paired into singlets.
-    Column k is |alpha, alpha - k>, the occupation-basis (Dicke) column
-    of 2*alpha sites with k spins down.  Requires M - 2*alpha even and
-    non-negative; raises DimensionGuardError when 2^M exceeds the dense
-    guard.
-    """
-    alpha = Fraction(alpha)
-    two_alpha = int(2 * alpha)
-    if two_alpha > M or (M - two_alpha) % 2 != 0:
-        raise ValueError(
-            f"spin {alpha} does not embed into {M} qubits (parity/size mismatch)"
-        )
-    check_dense_guard(2, M)
-    singlets = np.ones(1, dtype=complex)
-    for _ in range((M - two_alpha) // 2):
-        singlets = np.kron(singlets, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
-    return np.kron(sym_embed(2, two_alpha), singlets[:, None])
 
 
 def su2_coupling_isometry(
@@ -314,14 +277,20 @@ def su2_coupling_isometry(
     the magnetization-gamma sector, unique for labels that omega_su2
     accepts (others raise its ValueError); the rest of the column space
     follows by total lowering.  The global phase is fixed by making the
-    largest component real positive.
+    largest component real positive.  Raises DimensionGuardError when
+    the side (2 alpha + 1)(2 beta + 1) of the dense coupled operators
+    exceeds the dense guard.
     """
     alpha, beta, gamma = _check_spins(alpha, beta, gamma)
     da, db, two_gamma = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma)
+    if da * db > DEFAULT_DENSE_GUARD:
+        raise DimensionGuardError(
+            f"coupled spin space of side (2 alpha + 1)(2 beta + 1) = {da} * {db} "
+            f"exceeds guard {DEFAULT_DENSE_GUARD}"
+        )
     # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
     # qubits, with one spin moved from up (mode 0) to down (mode 1)
-    lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)
-                        for j in (alpha, beta))
+    lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j)) for j in (alpha, beta))
     lower_tot = np.kron(lower_a, np.eye(db)) + np.kron(np.eye(da), lower_b)
     raise_tot = lower_tot.conj().T
 
@@ -354,23 +323,20 @@ def su2_component_cloner(point: CandidatePoint) -> Channel:
     The spins are alpha = (m_1 - m_2)/2, gamma = N/2 and
     beta = alpha + gamma - mu_1, so omega_measure of the channel is
     omega_of_point(point, 2, N, M).  State map: embed the input
-    spin-gamma state through the coupling isometry into spin-alpha (x)
-    spin-beta, push spin alpha into the M-qubit output through a
-    representative embedding, and trace out the beta factor.  Unital and
-    completely positive by construction.
+    spin-gamma state through the coupling isometry V into spin-alpha (x)
+    spin-beta and trace out the beta factor; the Kraus operators are
+    K_b = <b|V.  Spin alpha is the output, on the occupation basis of
+    Sym^(m_1 - m_2), so the channel's m_out is m_1 - m_2, not the
+    label's M.  The label's M qubits would hold spin alpha as Sym^(2 alpha)
+    next to singlet pairs, and there the traceless one-body generators
+    that omega sees act as they do on Sym^(2 alpha).  Trace preserving
+    and completely positive by construction.
     """
     N, M = sum(point.mu), sum(point.m)
     point.validate(2, N, M)
     alpha, gamma = Fraction(point.m[0] - point.m[1], 2), Fraction(N, 2)
     beta = alpha + gamma - point.mu[0]
-    W = spin_embedding(alpha, M)
     V = su2_coupling_isometry(alpha, beta, gamma)
-    da, db, dg = int(2 * alpha) + 1, int(2 * beta) + 1, N + 1
-    V3 = V.reshape(da, db, dg)
-    return Channel(
-        kraus=W @ V3.transpose(1, 0, 2),
-        d=2,
-        n_in=N,
-        m_out=M,
-        basis_out=FULL_BASIS,
-    )
+    da, db = int(2 * alpha) + 1, int(2 * beta) + 1
+    return Channel(kraus=V.reshape(da, db, N + 1).transpose(1, 0, 2), d=2, n_in=N,
+                   m_out=point.m[0] - point.m[1])

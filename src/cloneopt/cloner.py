@@ -3,21 +3,19 @@
 The optimal cloner maps a state rho on the N-fold symmetric input space
 to (d[N]/d[M]) S_M (rho x 1) S_M on the M-fold output space.  It is
 constructed here directly in the occupation bases; the dense
-full-tensor construction is the tests' oracle.
+construction on the full tensor space is the tests' oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BasisError, DimensionGuardError
+from .errors import DimensionGuardError
 from .omega_opt import delta_one_from_gamma
 from .tensor_core import (
-    FULL_BASIS,
-    SYMMETRIC_BASIS,
     DensityOperator,
     PureState,
     _basis_dimension,
@@ -27,7 +25,6 @@ from .tensor_core import (
     product_power,
     single_site_marginal,
     sym_dimension,
-    sym_embed,
 )
 from .tolerances import KRAUS_ENTRY_GUARD
 
@@ -68,17 +65,15 @@ class Channel:
     kraus is one C-contiguous complex array of shape (R, out_dim, in_dim),
     operator r at kraus[r]; a sequence of equal-shape matrices is stacked
     into it once, on construction, and ragged, empty or non-3-D input
-    raises ValueError.  The input basis is always symmetric-occupation;
-    basis_out is symmetric-occupation or full-tensor, else BasisError;
-    dims carry (d, N, M), and a stack whose (out_dim, in_dim) are not
-    theirs raises ValueError.
+    raises ValueError.  Input and output are the symmetric occupation
+    bases of Sym^N and Sym^M; dims carry (d, N, M), and a stack whose
+    (out_dim, in_dim) are not (d[M], d[N]) raises ValueError.
     """
 
     kraus: np.ndarray
     d: int
     n_in: int
     m_out: int
-    basis_out: str = SYMMETRIC_BASIS
 
     def __post_init__(self):
         self.kraus = np.ascontiguousarray(self.kraus, dtype=complex)  # ragged: ValueError
@@ -87,14 +82,9 @@ class Channel:
                 "Kraus operators must form a non-empty (R, out_dim, in_dim) stack, "
                 f"got shape {self.kraus.shape}"
             )
-        if self.basis_out not in (SYMMETRIC_BASIS, FULL_BASIS):
-            raise BasisError(
-                f"channel output basis must be {SYMMETRIC_BASIS!r} or {FULL_BASIS!r}, "
-                f"got {self.basis_out!r}"
-            )
         _, out_side, in_side = self.kraus.shape
-        out_dim = _basis_dimension(self.basis_out, self.d, self.m_out, out_side)
-        in_dim = _basis_dimension(SYMMETRIC_BASIS, self.d, self.n_in, in_side)
+        out_dim = _basis_dimension(self.d, self.m_out, out_side)
+        in_dim = _basis_dimension(self.d, self.n_in, in_side)
         if (out_side, in_side) != (out_dim, in_dim):
             raise ValueError(
                 f"Kraus operators of shape {self.kraus.shape[1:]} do not map "
@@ -150,13 +140,6 @@ class Channel:
             np.max(np.abs(np.linalg.eigvalsh(F.conj().T @ F - np.eye(self.in_dim))))
         )
 
-    def to_full_output(self) -> "Channel":
-        """Expand a symmetric-occupation output basis to the full tensor basis."""
-        if self.basis_out == FULL_BASIS:
-            return self
-        E = sym_embed(self.d, self.m_out)
-        return replace(self, kraus=E @ self.kraus, basis_out=FULL_BASIS)
-
 
 def optimal_cloner(spec: ClonerSpec) -> Channel:
     """The optimal N -> M cloner in occupation bases (fast path).
@@ -211,7 +194,7 @@ def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState) -> np.nd
     """
     channel = optimal_cloner(cloner) if isinstance(cloner, ClonerSpec) else cloner
     rho_out = channel.apply_fast(product_power(psi, channel.n_in))
-    dens = DensityOperator(rho_out, SYMMETRIC_BASIS, channel.d, channel.m_out)
+    dens = DensityOperator(rho_out, channel.d, channel.m_out)
     return single_site_marginal(dens)
 
 

@@ -6,11 +6,8 @@ class CloneOptError(Exception):
 
 
 class DimensionGuardError(CloneOptError):
-    """A dense full-tensor construction would exceed the configured size guard."""
-
-
-class BasisError(CloneOptError):
-    """A density operator or channel carries an unknown or incompatible basis tag."""
+    """A size past one of the fixed limits in cloneopt.tolerances (CLI
+    exit 3)."""
 
 
 class ChannelPropertyError(CloneOptError):

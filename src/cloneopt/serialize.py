@@ -11,17 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloner import Channel
-from .errors import BasisError
 from .omega_opt import OmegaReport
-from .tensor_core import SYMMETRIC_BASIS
 
 __all__ = [
     "fraction_pair",
     "matrix_to_json",
     "vector_from_json",
-    "channel_to_json",
-    "channel_from_json",
     "omega_report_to_json",
     "estimate_report",
     "dumps",
@@ -57,33 +52,6 @@ def vector_from_json(obj) -> np.ndarray:
         mat = matrix_from_json(obj)
         return mat.reshape(-1)
     return np.array([complex(re, im) for re, im in obj])
-
-
-def channel_to_json(channel: Channel) -> dict:
-    return {
-        "d": channel.d,
-        "n": channel.n_in,
-        "m": channel.m_out,
-        "basis_in": SYMMETRIC_BASIS,
-        "basis_out": channel.basis_out,
-        "kraus": [matrix_to_json(K) for K in channel.kraus],
-    }
-
-
-def channel_from_json(obj: dict) -> Channel:
-    """Raises BasisError unless basis_in is the symmetric occupation basis;
-    Channel checks basis_out and the shape of the Kraus stack."""
-    if obj["basis_in"] != SYMMETRIC_BASIS:
-        raise BasisError(
-            f"channel input basis must be {SYMMETRIC_BASIS!r}, got {obj['basis_in']!r}"
-        )
-    return Channel(
-        kraus=[matrix_from_json(k) for k in obj["kraus"]],
-        d=int(obj["d"]),
-        n_in=int(obj["n"]),
-        m_out=int(obj["m"]),
-        basis_out=obj["basis_out"],
-    )
 
 
 def omega_report_to_json(report: OmegaReport) -> dict:

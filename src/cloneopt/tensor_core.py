@@ -1,9 +1,9 @@
 """Symmetric-subspace linear algebra.
 
 Occupation-number bases for the Bose subspace of (C^d)^{x N}, the
-isometric embedding of the occupation basis into the full tensor space,
-tensor powers of pure states, single-site marginals, and seeded
-Haar-random state sampling.
+isometric embedding of the occupation basis into the full tensor space
+(the tests' dense oracle: no command builds it), tensor powers of pure
+states, single-site marginals, and seeded Haar-random state sampling.
 
 All functions are pure; randomized ones take an explicit seed.  The
 occupation basis is ordered reverse-lexicographically everywhere.
@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionGuardError
+from .errors import DimensionGuardError
 from .tolerances import DEFAULT_DENSE_GUARD, STATE_TOL
 
 SYMMETRIC_BASIS = "symmetric-occupation"
-FULL_BASIS = "full-tensor"
 
 __all__ = [
     "SYMMETRIC_BASIS",
-    "FULL_BASIS",
     "PureState",
     "DensityOperator",
     "sym_dimension",
@@ -45,19 +43,16 @@ def sym_dimension(d: int, N: int) -> int:
     return math.comb(d + N - 1, N)
 
 
-def _basis_dimension(basis: str, d: int, sites: int, side: int) -> int | str:
-    """Dimension of `basis` on `sites` sites of C^d, for comparison with a
-    matrix side.  d[m] = C(d+m-1, m) >= 2^min(d-1, m) and d^m >= 2^m, so
-    once that exponent reaches side's bit length the dimension exceeds
-    side; it is then returned as the text '>= 2**e', and no binomial or
-    power of the declared sizes is computed.  Unknown tags raise
-    BasisError."""
-    if basis not in (SYMMETRIC_BASIS, FULL_BASIS):
-        raise BasisError(f"unknown basis tag {basis!r}")
-    exponent = min(d - 1, sites) if basis == SYMMETRIC_BASIS else sites
+def _basis_dimension(d: int, sites: int, side: int) -> int | str:
+    """sym_dimension(d, sites), for comparison with a matrix side.
+    d[m] = C(d+m-1, m) >= 2^min(d-1, m), so once that exponent reaches
+    side's bit length the dimension exceeds side; it is then returned as
+    the text '>= 2**e', and no binomial of the declared sizes is
+    computed."""
+    exponent = min(d - 1, sites)
     if d >= 2 and exponent >= side.bit_length():
         return f">= 2**{exponent}"
-    return sym_dimension(d, sites) if basis == SYMMETRIC_BASIS else d**sites
+    return sym_dimension(d, sites)
 
 
 class _OccupationTable:
@@ -162,21 +157,19 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Density matrix with an explicit basis tag.
-
-    basis is SYMMETRIC_BASIS (matrix of size sym_dimension(d, sites)) or
-    FULL_BASIS (size d**sites).  Leading axes, if any, stack matrices.
+    """Density matrix on the symmetric occupation basis of `sites` sites
+    of C^d, of size sym_dimension(d, sites).  Leading axes, if any, stack
+    matrices.
     """
 
     matrix: np.ndarray
-    basis: str
     d: int
     sites: int
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        dim = _basis_dimension(self.basis, self.d, self.sites, max(mat.shape[-2:], default=0))
+        dim = _basis_dimension(self.d, self.sites, max(mat.shape[-2:], default=0))
         if mat.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match basis dimension {dim}"
@@ -240,58 +233,30 @@ def _product_powers(amps: np.ndarray, *orders: int) -> list[np.ndarray]:
     return coords
 
 
-def one_body_operator(a: np.ndarray, d: int, sites: int, basis: str) -> np.ndarray:
-    """Matrix of sum_k a_(k) (a acting on site k, identity elsewhere).
-
-    In the occupation basis this is the second-quantized operator
+def one_body_operator(a: np.ndarray, d: int, sites: int) -> np.ndarray:
+    """Matrix of sum_k a_(k) (a acting on site k, identity elsewhere) on
+    the occupation basis: the second-quantized operator
     sum_ij a_ij b_i^dag b_j restricted to total occupation `sites`.
     """
     a = np.asarray(a, dtype=complex)
-    if basis == FULL_BASIS:
-        # sum over the first k + 1 sites from the sum over the first k
-        op = np.zeros((1, 1), dtype=complex)
-        for k in range(sites):
-            op = np.kron(op, np.eye(d)) + np.kron(np.eye(d**k), a)
-        return op
-    if basis != SYMMETRIC_BASIS:
-        raise BasisError(f"unknown basis tag {basis!r}")
     t = _table(d, sites)
     op = np.zeros((len(t.basis),) * 2, dtype=complex)
     np.add.at(op, (t.hop_row, t.hop_col), a[t.hop_high, t.hop_low] * t.hop_weight)
     return op
 
 
-def _marginal_symmetric(matrix: np.ndarray, d: int, N: int) -> np.ndarray:
-    # marg[i, j] = (1/N) tr(rho b_j^dag b_i): annihilate mode i, create mode j
-    t = _table(d, N)
-    terms = matrix[..., t.hop_col, t.hop_row] * t.hop_weight
-    marg = np.add.reduceat(terms, t.hop_starts, axis=-1) / N
-    return marg.reshape(matrix.shape[:-2] + (d, d))
-
-
-def _marginal_full(matrix: np.ndarray, d: int, N: int, site: int) -> np.ndarray:
-    if not 0 <= site < N:
-        raise ValueError(f"site index {site} out of range for {N} sites")
-    # rows and columns split as (sites before, kept site, sites after)
-    before, after = d**site, d ** (N - site - 1)
-    t = matrix.reshape(matrix.shape[:-2] + (before, d, after) * 2)
-    return np.einsum("...aibajb->...ij", t)
-
-
-def single_site_marginal(rho: DensityOperator, site: int = 0) -> np.ndarray:
-    """d x d reduced density matrix of one output site.
-
-    For SYMMETRIC_BASIS input the result is site-independent; for
-    FULL_BASIS input the site index selects which tensor factor to keep.
-    A stack of density matrices gives a stack of marginals.
+def single_site_marginal(rho: DensityOperator) -> np.ndarray:
+    """d x d reduced density matrix of one site, the same for every site
+    of a symmetric state.  A stack of density matrices gives a stack of
+    marginals.
     """
     if rho.sites < 1:
         raise ValueError("a single-site marginal needs at least one site")
-    if rho.basis == SYMMETRIC_BASIS:
-        return _marginal_symmetric(rho.matrix, rho.d, rho.sites)
-    if rho.basis == FULL_BASIS:
-        return _marginal_full(rho.matrix, rho.d, rho.sites, site)
-    raise BasisError(f"unknown basis tag {rho.basis!r}")
+    # marg[i, j] = (1/N) tr(rho b_j^dag b_i): annihilate mode i, create mode j
+    t = _table(rho.d, rho.sites)
+    terms = rho.matrix[..., t.hop_col, t.hop_row] * t.hop_weight
+    marg = np.add.reduceat(terms, t.hop_starts, axis=-1) / rho.sites
+    return marg.reshape(rho.matrix.shape[:-2] + (rho.d, rho.d))
 
 
 def haar_state(d: int, seed: int) -> PureState:

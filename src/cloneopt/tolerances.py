@@ -2,11 +2,13 @@
 
 Structural identities (projections, isometries, trace preservation,
 covariance) are checked at STRUCTURAL_TOL; state normalization at
-STATE_TOL.  The dense guard bounds two sizes: the dimension d**M of a
-full tensor-product object (sym_embed, kron_power, spin_embedding), and
-the side in_dim * out_dim of a Choi matrix.  Occupation-basis paths,
-including the conjugation by Sym^N(u) in covariance_defect and
-twirl_choi, build no d**M object and answer past the first.  The Kraus
+STATE_TOL.  The dense guard bounds three sizes: the dimension d**M of
+a full tensor-product object (sym_embed, kron_power: the tests' dense
+oracles), the side in_dim * out_dim of a Choi matrix, and the side
+(2 alpha + 1)(2 beta + 1) of the coupled spin space of a qubit
+component cloner.  Occupation-basis paths, including the conjugation
+by Sym^N(u) in covariance_defect and twirl_choi, build no d**M object
+and answer past the first.  The Kraus
 entry guard bounds the entries of the optimal cloner's Kraus operators.
 The branch guard bounds the summands pieri_branch lists.  The
 enumeration guard (DEFAULT_M_GUARD, DEFAULT_D_GUARD) bounds the (m, mu)

@@ -3,6 +3,10 @@ compare the package against, and subjects and inputs they build.  None
 of this is reached by the CLI, the demos or the benchmark."""
 from __future__ import annotations
 
+import functools
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from cloneopt.cloner import Channel, ClonerSpec
@@ -58,6 +62,39 @@ def symmetrizer(d: int, M: int) -> np.ndarray:
     return E @ E.conj().T
 
 
+def transposed_full_marginal(matrix, d, N, site):
+    """Oracle: the one-site marginal of a d^N x d^N matrix on the full
+    tensor space; move the kept site to the front, then trace out the rest."""
+    t = matrix.reshape((d,) * (2 * N))
+    rows = [site] + [k for k in range(N) if k != site]
+    cols = [N + site] + [N + k for k in range(N) if k != site]
+    t = np.transpose(t, axes=rows + cols).reshape(d, d ** (N - 1), d, d ** (N - 1))
+    return np.einsum("iaja->ij", t)
+
+
+def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
+    """Isometry from spin alpha into the M-fold qubit tensor product.
+
+    Representative copy: the first 2*alpha sites carry the symmetric
+    (highest-spin) block, the remaining sites are paired into singlets.
+    Column k is |alpha, alpha - k>, the occupation-basis (Dicke) column
+    of 2*alpha sites with k spins down.  Requires M - 2*alpha even and
+    non-negative; raises DimensionGuardError when 2^M exceeds the dense
+    guard.
+    """
+    alpha = Fraction(alpha)
+    two_alpha = int(2 * alpha)
+    if two_alpha > M or (M - two_alpha) % 2 != 0:
+        raise ValueError(
+            f"spin {alpha} does not embed into {M} qubits (parity/size mismatch)"
+        )
+    check_dense_guard(2, M)
+    singlets = np.ones(1, dtype=complex)
+    for _ in range((M - two_alpha) // 2):
+        singlets = np.kron(singlets, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
+    return np.kron(sym_embed(2, two_alpha), singlets[:, None])
+
+
 def dense_cloner_output(spec: ClonerSpec, rho_sym: np.ndarray) -> np.ndarray:
     """Oracle: (d[N]/d[M]) S_M (rho x 1) S_M, compressed back to the
     occupation basis of the output.  Requires d**M within the dense guard."""
@@ -84,13 +121,21 @@ def constant_output_channel(d: int, N: int, M: int) -> Channel:
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
 
+@functools.lru_cache(maxsize=None)
+def _feasible_blocks(d: int, N: int, M: int) -> tuple[tuple, int]:
+    """The label blocks of the enumeration of (d, N, M), listed once, and
+    the number of labels they hold."""
+    blocks = tuple(_label_blocks(d, N, M))
+    return blocks, sum(len(mu) for _, mu in blocks)
+
+
 def random_feasible_point(d: int, N: int, M: int, seed: int) -> CandidatePoint:
     """A uniformly sampled feasible pair (m, mu), for greedy-start tests:
     the label at index default_rng(seed).integers(count) of the
     enumeration order."""
     rng = np.random.default_rng(seed)
-    blocks = list(_label_blocks(d, N, M))
-    index = int(rng.integers(sum(len(mu) for _, mu in blocks)))
+    blocks, count = _feasible_blocks(d, N, M)
+    index = int(rng.integers(count))
     for m, mu in blocks:
         if index < len(mu):
             return CandidatePoint(m, tuple(mu[index].tolist()))

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from cloneopt import (
-    FULL_BASIS,
-    SYMMETRIC_BASIS,
     ChannelPropertyError,
     ClonerSpec,
     DensityOperator,
@@ -41,7 +39,6 @@ from cloneopt.channels import (
     haar_unitary,
     kron_power,
     min_choi_eigenvalue,
-    spin_embedding,
     su2_coupling_isometry,
     symmetric_rep,
     twirl_choi,
@@ -49,7 +46,7 @@ from cloneopt.channels import (
 from cloneopt import cloner
 from cloneopt.cloner import Channel, refine_supremum
 
-from reference import constant_output_channel
+from reference import constant_output_channel, spin_embedding
 
 
 def identity_channel(d):
@@ -120,7 +117,7 @@ def test_twirl_washes_out_direction():
     v = product_power(psi, 1)
     C = averaged.reshape(channel.in_dim, channel.out_dim, channel.in_dim, channel.out_dim)
     out = np.einsum("ij,iajb->ab", np.outer(v, v.conj()), C)
-    marg = single_site_marginal(DensityOperator(out, SYMMETRIC_BASIS, 2, 2))
+    marg = single_site_marginal(DensityOperator(out, 2, 2))
     gamma_est = float(np.real(np.vdot(psi.projector() - np.eye(2) / 2, marg))) / (
         float(np.real(np.vdot(psi.projector() - np.eye(2) / 2,
                               psi.projector() - np.eye(2) / 2)))
@@ -209,7 +206,7 @@ def test_spin_embedding_matches_lowering_loop():
 def spin_lowering(j):
     """J_- in the basis |j, j>, ..., |j, -j>, as su2_coupling_isometry
     builds it: one spin moved from up to down on 2j qubits."""
-    return one_body_operator([[0, 0], [1, 0]], 2, int(2 * j), SYMMETRIC_BASIS)
+    return one_body_operator([[0, 0], [1, 0]], 2, int(2 * j))
 
 
 def test_spin_lowering_matrix_elements():
@@ -223,9 +220,12 @@ def test_spin_lowering_matrix_elements():
 
 
 def test_component_cloner_refuses_large_m_before_building():
+    # no 2^M object: M = 13 builds, on Sym^13
+    assert su2_component_cloner(CandidatePoint((13, 0), (1, 0))).out_dim == 14
+    # the coupled side (2 alpha + 1)(2 beta + 1) is 65 * 64, above the guard
     start = time.perf_counter()
-    with pytest.raises(DimensionGuardError):
-        su2_component_cloner(CandidatePoint((13, 0), (1, 0)))
+    with pytest.raises(DimensionGuardError, match="65 \\* 64 exceeds guard 4096"):
+        su2_component_cloner(CandidatePoint((64, 0), (1, 0)))
     assert time.perf_counter() - start < 1.0
 
 
@@ -254,11 +254,14 @@ def test_component_cloner_triangle_guard():
 
 # sha256 of the Kraus stacks of every point of enumerate_W1(2, N, M),
 # N in 0..4 outside M in 0..8 except N = M = 0, in enumeration order
-COMPONENT_KRAUS_SHA256 = "dc59b8b9af697c8524106920c37ff104174244073d114ae850849528f67a445c"
+COMPONENT_KRAUS_SHA256 = "a023bebfdf1453d7308f75a660913a715620de491c7c11babd78364b46a90812"
+# the same stacks pushed into the label's M qubits by spin_embedding: the
+# digest of the components when they were built on the full tensor space
+EMBEDDED_KRAUS_SHA256 = "dc59b8b9af697c8524106920c37ff104174244073d114ae850849528f67a445c"
 
 
 def test_component_cloner_kraus_digest():
-    digest = hashlib.sha256()
+    digest, embedded = hashlib.sha256(), hashlib.sha256()
     for N in range(5):
         for M in range(9):
             if N == M == 0:
@@ -266,7 +269,10 @@ def test_component_cloner_kraus_digest():
             for point in enumerate_W1(2, N, M):
                 kraus = su2_component_cloner(point).kraus
                 digest.update(np.ascontiguousarray(kraus).tobytes())
+                W = spin_embedding(Fraction(point.m[0] - point.m[1], 2), M)
+                embedded.update(np.ascontiguousarray(W @ kraus).tobytes())
     assert digest.hexdigest() == COMPONENT_KRAUS_SHA256
+    assert embedded.hexdigest() == EMBEDDED_KRAUS_SHA256
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (1, 3), (2, 3), (2, 4)])
@@ -275,6 +281,7 @@ def test_component_cloner_cp_tp_and_omega(N, M):
         channel = su2_component_cloner(point)
         assert channel.completeness_defect() < 1e-10
         assert min_choi_eigenvalue(channel) >= -1e-10
+        assert covariance_defect(channel, samples=5, seed=0) < 1e-10, point
         exact = float(omega_of_point(point, 2, N, M))
         assert abs(omega_measure(channel) - exact) < 1e-8, point
 
@@ -282,7 +289,7 @@ def test_component_cloner_cp_tp_and_omega(N, M):
 def test_optimal_labels_reproduce_optimal_cloner():
     for N, M in [(1, 2), (2, 3), (1, 3)]:
         component = su2_component_cloner(CandidatePoint((M, 0), (N, 0)))
-        reference = optimal_cloner(ClonerSpec(2, N, M)).to_full_output()
+        reference = optimal_cloner(ClonerSpec(2, N, M))
         dist = np.max(np.abs(np.linalg.eigvalsh(choi(component) - choi(reference))))
         assert dist < 1e-8
 
@@ -323,16 +330,12 @@ def sequential_refine(value_fn, psi0, seed, iters=20):
 def reference_delta_one(channel, samples, seed):
     """Oracle: delta_one_numeric evaluated one sampled state at a time."""
     d, N, M = channel.d, channel.n_in, channel.m_out
-    sites = [0] if channel.basis_out != FULL_BASIS else list(range(M))
 
     def value(amps):
         v = product_power(amps, N)
-        dens = DensityOperator(channel.apply(np.outer(v, v.conj())), channel.basis_out, d, M)
-        best = 0.0
-        for k in sites:
-            vals = np.linalg.eigvalsh(single_site_marginal(dens, site=k) - np.outer(amps, amps.conj()))
-            best = max(best, float(np.sum(vals[vals > 0])))
-        return best
+        dens = DensityOperator(channel.apply(np.outer(v, v.conj())), d, M)
+        vals = np.linalg.eigvalsh(single_site_marginal(dens) - np.outer(amps, amps.conj()))
+        return float(np.sum(vals[vals > 0]))
 
     draws, *chains = np.random.SeedSequence(seed).spawn(6)
     rng = np.random.default_rng(draws)
@@ -411,20 +414,12 @@ def test_refinement_calls_are_few_and_bounded(iters):
             assert len(calls) == math.ceil(iters / max(1, batch // 5)), case
 
 
-@pytest.mark.parametrize("labels,N,M", [
-    (CandidatePoint((3, 0), (1, 0)), 1, 3),
-    (CandidatePoint((2, 1), (1, 0)), 1, 3),
-    (CandidatePoint((3, 1), (1, 1)), 2, 4),
+@pytest.mark.parametrize("channel", [
+    identity_channel(2), identity_channel(3), constant_output_channel(2, 1, 2),
+    su2_component_cloner(CandidatePoint((3, 0), (1, 0))),
+    su2_component_cloner(CandidatePoint((2, 1), (1, 0))),
+    su2_component_cloner(CandidatePoint((3, 1), (1, 1))),
 ])
-def test_delta_one_numeric_matches_per_state_loop_full_basis(labels, N, M):
-    channel = su2_component_cloner(labels)
-    assert (channel.n_in, channel.m_out, channel.basis_out) == (N, M, FULL_BASIS)
-    batched = delta_one_numeric(channel, samples=37, seed=5)
-    assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
-
-
-@pytest.mark.parametrize("channel", [identity_channel(2), identity_channel(3),
-                                     constant_output_channel(2, 1, 2)])
 def test_delta_one_numeric_matches_per_state_loop(channel):
     batched = delta_one_numeric(channel, samples=37, seed=5)
     assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
@@ -732,14 +727,3 @@ def test_conjugation_matches_dense_oracle():
     for K, D in zip(conjugate_channel(channel, u).kraus, dense):
         assert np.max(np.abs(K - D)) < 1e-12
 
-
-def test_full_basis_conjugation_keeps_the_dense_guard():
-    u = haar_unitary(2, np.random.default_rng(5))
-    # u^{x 13} has side 2^13 = 8192, above the dense guard
-    kraus = np.zeros((1, 2**13, 2))
-    kraus[0, 0, 0] = kraus[0, -1, 1] = 1.0
-    wide = Channel(kraus=kraus, d=2, n_in=1, m_out=13, basis_out=FULL_BASIS)
-    with pytest.raises(DimensionGuardError, match=r"d\^M = 2\^13 exceeds guard 4096"):
-        conjugate_channel(wide, u)
-    channel = su2_component_cloner(CandidatePoint((3, 1), (1, 1)))
-    assert conjugate_channel(channel, u).out_dim == 16

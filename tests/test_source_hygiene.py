@@ -11,8 +11,6 @@ PACKAGE = ROOT / "src" / "cloneopt"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-# Kept with the channel JSON schema until ROADMAP item 4 decides it.
-UNREAD_EXPORTS = {"channel_to_json", "channel_from_json"}
 
 
 def names_read(tree):
@@ -129,7 +127,6 @@ def test_every_export_is_read_outside_its_module():
     unread = sorted(
         f"{path.name}::{name}"
         for name, path in exports
-        if name not in UNREAD_EXPORTS
-        and not any(name in names for reader, names in reads.items() if reader != path)
+        if not any(name in names for reader, names in reads.items() if reader != path)
     )
     assert not unread, f"exported names only their own module reads: {unread}"

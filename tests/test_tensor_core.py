@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from cloneopt import (
-    FULL_BASIS,
-    SYMMETRIC_BASIS,
     DensityOperator,
     DimensionGuardError,
     PureState,
@@ -19,10 +17,9 @@ from cloneopt import (
     sym_dimension,
     sym_embed,
 )
-from cloneopt.channels import traceless_hermitian_basis
 from cloneopt.tensor_core import _product_powers, _table, check_dense_guard
 
-from reference import occupation_index, symmetrizer
+from reference import occupation_index, symmetrizer, transposed_full_marginal
 
 
 def permutation_average(d, M):
@@ -179,17 +176,16 @@ def test_product_power_matches_literal_tensor_power(d, N, seed):
 def test_marginal_of_product_state():
     psi = haar_state(3, seed=11)
     v = product_power(psi, 3)
-    rho = DensityOperator(np.outer(v, v.conj()), SYMMETRIC_BASIS, 3, 3)
+    rho = DensityOperator(np.outer(v, v.conj()), 3, 3)
     assert np.allclose(single_site_marginal(rho), psi.projector(), atol=1e-12)
 
 
 def test_marginal_of_bell_like_state():
-    vec = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2)
-    rho = DensityOperator(np.outer(vec, vec), FULL_BASIS, 2, 2)
-    for site in (0, 1):
-        assert np.allclose(
-            single_site_marginal(rho, site=site), np.eye(2) / 2, atol=1e-12
-        )
+    # (|01> + |10>)/sqrt(2) is the occupation basis vector (1, 1)
+    vec = np.array([0.0, 1.0, 0.0])
+    assert np.allclose(sym_embed(2, 2) @ vec, np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
+    rho = DensityOperator(np.outer(vec, vec), 2, 2)
+    assert np.allclose(single_site_marginal(rho), np.eye(2) / 2, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,N,seed", [(2, 3, 4), (3, 2, 5)])
@@ -200,12 +196,12 @@ def test_marginal_agrees_between_bases(d, N, seed):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = z @ z.conj().T
     mat /= np.trace(mat)
-    rho_sym = DensityOperator(mat, SYMMETRIC_BASIS, d, N)
+    rho_sym = DensityOperator(mat, d, N)
     E = sym_embed(d, N)
-    rho_full = DensityOperator(E @ mat @ E.conj().T, FULL_BASIS, d, N)
+    rho_full = E @ mat @ E.conj().T
     m_sym = single_site_marginal(rho_sym)
     for site in range(N):
-        assert np.allclose(m_sym, single_site_marginal(rho_full, site=site), atol=1e-12)
+        assert np.allclose(m_sym, transposed_full_marginal(rho_full, d, N, site), atol=1e-12)
     assert abs(np.trace(m_sym) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(m_sym)) > -1e-12
 
@@ -215,8 +211,8 @@ def test_one_body_operator_full_vs_symmetric():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     a = z + z.conj().T
-    full = one_body_operator(a, d, N, FULL_BASIS)
-    sym = one_body_operator(a, d, N, SYMMETRIC_BASIS)
+    full = per_term_one_body_operator(a, d, N)
+    sym = one_body_operator(a, d, N)
     E = sym_embed(d, N)
     assert np.allclose(E.conj().T @ full @ E, sym, atol=1e-12)
 
@@ -235,18 +231,6 @@ def per_term_one_body_operator(a, d, sites):
             term = np.kron(term, f)
         op += term
     return op
-
-
-# d = 4 stops at 5 sites: a dense operator on 4^6 sites takes 268 MB
-@pytest.mark.parametrize("d,sites", [(d, s) for d in (2, 3, 4) for s in range(1, 7)
-                                     if d**s <= 1024])
-def test_full_basis_one_body_operator_matches_per_term_sum(d, sites):
-    rng = np.random.default_rng(10 * d + sites)
-    mats = traceless_hermitian_basis(d) + [
-        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
-    for a in mats:
-        assert np.array_equal(one_body_operator(a, d, sites, FULL_BASIS),
-                              per_term_one_body_operator(a, d, sites))
 
 
 def test_haar_state_deterministic_and_normalized():
@@ -297,15 +281,6 @@ def dict_walk_marginal(matrix, d, N):
                 row = index[tuple(raised)]
                 marg[i, j] += matrix[col, row] * math.sqrt(n[i] * (lowered[j] + 1))
     return marg / N
-
-
-def transposed_full_marginal(matrix, d, N, site):
-    """Oracle: move the kept site to the front, then trace out the rest."""
-    t = matrix.reshape((d,) * (2 * N))
-    rows = [site] + [k for k in range(N) if k != site]
-    cols = [N + site] + [N + k for k in range(N) if k != site]
-    t = np.transpose(t, axes=rows + cols).reshape(d, d ** (N - 1), d, d ** (N - 1))
-    return np.einsum("iaja->ij", t)
 
 
 def random_stack(rng, count, dim):
@@ -374,23 +349,12 @@ def test_shared_powers_table_is_exact(d):
 def test_batched_symmetric_marginal_matches_dict_walk(d, N):
     rng = np.random.default_rng(d + 7 * N)
     stack = random_stack(rng, 5, sym_dimension(d, N)).reshape(5, 1, *(sym_dimension(d, N),) * 2)
-    margs = single_site_marginal(DensityOperator(stack, SYMMETRIC_BASIS, d, N))
+    margs = single_site_marginal(DensityOperator(stack, d, N))
     assert margs.shape == (5, 1, d, d)
     for marg, mat in zip(margs[:, 0], stack[:, 0]):
         assert np.allclose(marg, dict_walk_marginal(mat, d, N), rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("d,N", [(2, 1), (2, 3), (3, 2), (2, 4)])
-def test_batched_full_marginal_matches_per_matrix(d, N):
-    rng = np.random.default_rng(3 * d + N)
-    stack = random_stack(rng, 4, d**N)
-    dens = DensityOperator(stack, FULL_BASIS, d, N)
-    for site in range(N):
-        margs = single_site_marginal(dens, site=site)
-        for marg, mat in zip(margs, stack):
-            assert np.allclose(marg, transposed_full_marginal(mat, d, N, site), atol=1e-12)
-
-
 def test_marginal_needs_a_site():
     with pytest.raises(ValueError):
-        single_site_marginal(DensityOperator(np.eye(1), SYMMETRIC_BASIS, 2, 0))
+        single_site_marginal(DensityOperator(np.eye(1), 2, 0))
