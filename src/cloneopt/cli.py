@@ -4,23 +4,25 @@ Every subcommand prints a single JSON document (or an aligned table with
 --format table) and uses the exit-code taxonomy: 0 success, 1 numeric
 failure, 2 usage error, 3 dimension-guard violation.  Identical argv and
 seed give byte-identical output.
+
+A process loads what its command uses: numpy, tensor_core, cloner and
+channels are imported by the handlers that need them, so the exact
+commands (omega max|point|su2, rep *) run without numpy, and run()
+builds the parser of the one command its argv names.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import channels as ch
-from . import cloner as cl
 from . import omega_opt as oo
 from . import rep_theory as rt
 from . import serialize as se
-from . import tensor_core as tc
 from .errors import CloneOptError, DimensionGuardError
 from .tolerances import STATE_TOL, STRUCTURAL_TOL
 
@@ -45,8 +47,12 @@ def _parse_spin(text: str) -> Fraction:
         raise UsageError(f"cannot parse spin {text!r}") from exc
 
 
-def _parse_state(text: str, d: int) -> tc.PureState:
+def _parse_state(text: str, d: int):
     """Pure-state amplitudes from inline JSON or a file path."""
+    import numpy as np
+
+    from . import tensor_core as tc
+
     raw = text.strip()
     if not raw.startswith(("[", "{")):
         try:
@@ -75,10 +81,12 @@ def _parse_state(text: str, d: int) -> tc.PureState:
     return tc.PureState(psi)
 
 
-def _input_state(args) -> tc.PureState:
+def _input_state(args):
     """The --state amplitudes, or else the Haar state of --seed."""
     if args.state:
         return _parse_state(args.state, args.d)
+    from . import tensor_core as tc
+
     return tc.haar_state(args.d, args.seed)
 
 
@@ -129,14 +137,28 @@ def _render(obj, fmt: str) -> str:
 
 
 def _cmd_dims(args):
+    from . import tensor_core as tc
+
     return {"d": args.d, "n": args.n, "sym_dimension": tc.sym_dimension(args.d, args.n)}
 
 
-def _cloner_spec(args) -> cl.ClonerSpec:
+def _cloner_spec(args):
+    from . import cloner as cl
+
     return cl.ClonerSpec(args.d, args.n, args.m)
 
 
+def _cloner(args):
+    """The optimal cloner of --d, --n and --m."""
+    from . import cloner as cl
+
+    return cl.optimal_cloner(_cloner_spec(args))
+
+
 def _cmd_cloner_constants(args):
+    from . import cloner as cl
+    from . import tensor_core as tc
+
     spec = _cloner_spec(args)
     gamma = cl.shrinking_factor(spec)
     overlap = Fraction(
@@ -150,6 +172,9 @@ def _cmd_cloner_constants(args):
 
 
 def _cmd_cloner_apply(args):
+    from . import cloner as cl
+    from . import tensor_core as tc
+
     spec = _cloner_spec(args)
     psi = _input_state(args)
     channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before any state is built
@@ -164,11 +189,16 @@ def _cmd_cloner_apply(args):
 
 
 def _cmd_cloner_marginal(args):
+    from . import cloner as cl
+
     marg = cl.single_clone_marginal(_cloner_spec(args), _input_state(args))
     return {"d": args.d, "n": args.n, "m": args.m, "marginal": se.matrix_to_json(marg)}
 
 
 def _cmd_cloner_overlap(args):
+    from . import cloner as cl
+    from . import tensor_core as tc
+
     return {
         "overlap": cl.all_clone_overlap(_cloner_spec(args), _input_state(args)),
         "expected": se.fraction_pair(
@@ -178,7 +208,7 @@ def _cmd_cloner_overlap(args):
 
 
 def _cmd_omega_max(args):
-    report = oo.maximize_brute(args.d, args.n, args.m)
+    report = oo.maximize_exact(args.d, args.n, args.m)
     return se.omega_report_to_json(report)
 
 
@@ -248,8 +278,11 @@ def _cmd_rep_adjoint(args):
 
 
 def _cmd_channel_twirl(args):
-    spec = _cloner_spec(args)
-    channel = cl.optimal_cloner(spec)
+    import numpy as np
+
+    from . import channels as ch
+
+    channel = _cloner(args)
     # T is a twirl fixed point iff the averaged Choi matrix matches
     averaged = ch.twirl_choi(channel, args.samples, args.seed)
     averaged -= ch.choi(channel)
@@ -258,15 +291,17 @@ def _cmd_channel_twirl(args):
 
 
 def _cmd_channel_defect(args):
-    spec = _cloner_spec(args)
-    channel = cl.optimal_cloner(spec)
+    from . import channels as ch
+
+    channel = _cloner(args)
     defect = ch.covariance_defect(channel, samples=args.samples, seed=args.seed)
     return se.estimate_report(defect, args.samples, args.seed)
 
 
 def _cmd_channel_omega(args):
-    spec = _cloner_spec(args)
-    channel = cl.optimal_cloner(spec)
+    from . import channels as ch
+
+    channel = _cloner(args)
     return {
         "omega": ch.omega_measure(channel),
         "omega_max": se.fraction_pair(Fraction(args.m + args.d, args.n + args.d)),
@@ -274,13 +309,20 @@ def _cmd_channel_omega(args):
 
 
 def _cmd_channel_delta_one(args):
-    spec = _cloner_spec(args)
-    channel = cl.optimal_cloner(spec)
+    from . import channels as ch
+
+    channel = _cloner(args)
     est = ch.delta_one_numeric(channel, samples=args.samples, seed=args.seed)
     return se.estimate_report(est, args.samples, args.seed)
 
 
 def _cmd_verify_all(args):
+    import numpy as np
+
+    from . import channels as ch
+    from . import cloner as cl
+    from . import tensor_core as tc
+
     d, N, M = args.d, args.n, args.m
     spec = cl.ClonerSpec(d, N, M)
     failures: list[str] = []
@@ -315,6 +357,7 @@ def _cmd_verify_all(args):
         ch.covariance_defect(channel, samples=10, seed=args.seed) <= STRUCTURAL_TOL,
     )
     report = oo.maximize_brute(d, N, M)
+    check("exact-maximizer", oo.maximize_exact(d, N, M) == report)
     check("omega-max-value", report.omega_max == Fraction(M + d, N + d))
     check("omega-max-unique", report.unique)
     top = (M,) + (0,) * (d - 1)
@@ -391,14 +434,15 @@ _COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(rows=_COMMANDS) -> argparse.ArgumentParser:
+    """The argparse tree of the given _COMMANDS rows, all by default."""
     parser = argparse.ArgumentParser(
         prog="cloneopt",
         description="Optimal universal cloning channels and the omega functional",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name, handler, flags, defaults in _COMMANDS:
+    for group, name, handler, flags, defaults in rows:
         if name is None:
             p = sub.add_parser(group, help=_GROUP_HELP[group])
         else:
@@ -413,10 +457,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the tree of the one _COMMANDS row it names.  When it
+    names none, or that tree rejects it, the full tree parses it, so that
+    help and usage errors read as they always have."""
+    row = [
+        r for r in _COMMANDS
+        if argv[:1] == [r[0]] and (r[1] is None or argv[1:2] == [r[1]])
+    ]
+    if row:
+        try:
+            with redirect_stderr(io.StringIO()):
+                return build_parser(row).parse_args(argv)
+        except SystemExit as exc:
+            if exc.code in (0, None):
+                raise
+    return build_parser().parse_args(argv)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     fmt = getattr(args, "format", "json")

@@ -9,13 +9,17 @@ N boxes respecting the branching constraints.  The integer objective
 determines the component's omega value exactly; its unique maximum at
 m = (M,0,...,0), mu = (N,0,...,0) (for N <= M) identifies the optimal
 cloner.  All values are exact rationals.
+
+maximize_exact finds the maximum without listing labels: at fixed m,
+F2 has one maximizer, found in O(d), and the labels of m are counted,
+not listed.  maximize_brute lists every label (enumerate_W1's walk) and
+stays as its oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import DimensionGuardError
 from .rep_theory import check_dominant, is_dominant
@@ -31,6 +35,7 @@ __all__ = [
     "check_enumeration_guard",
     "enumerate_W1",
     "maximize_brute",
+    "maximize_exact",
     "maximize_greedy",
     "omega_su2",
 ]
@@ -91,10 +96,11 @@ class OmegaReport:
 
 def f2(point: CandidatePoint) -> int:
     """sum_k mu_k (2 m_k - 2k - mu_k) with 1-based slot index k."""
-    return sum(
-        mu * (2 * m - 2 * (k + 1) - mu)
-        for k, (m, mu) in enumerate(zip(point.m, point.mu))
-    )
+    return _f2(point.m, point.mu)
+
+
+def _f2(m, mu) -> int:
+    return sum(x * (2 * mk - 2 * k - x) for k, (mk, x) in enumerate(zip(m, mu), 1))
 
 
 def _sym_c2su(d: int, N: int) -> Fraction:
@@ -155,6 +161,8 @@ def _label_blocks(d: int, N: int, M: int):
     row per label, the mu_head of the box grid in itertools.product order
     followed by mu_last = N - sum(mu_head) >= 0.  The guards are checked
     before anything is enumerated."""
+    import numpy as np
+
     if d < 2 or N < 0 or M < 0:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
     check_enumeration_guard(d, M)
@@ -193,9 +201,12 @@ def _report(d, N, M, maximizers, count) -> OmegaReport:
 
 def maximize_brute(d: int, N: int, M: int) -> OmegaReport:
     """Global maximum of F2 over the full enumeration, with all maximizers
-    in enumeration order.  F2 is evaluated one partition block at a time
-    in exact int64 arithmetic; only the labels that tie the maximum
-    become CandidatePoints."""
+    in enumeration order: the listing oracle of maximize_exact, which
+    `verify all` and the tests hold equal to it field for field.  F2 is
+    evaluated one partition block at a time in exact int64 arithmetic;
+    only the labels that tie the maximum become CandidatePoints."""
+    import numpy as np
+
     if N < 1 or M < 1:
         raise ValueError("maximization needs N >= 1 and M >= 1")
     slots = 2 * np.arange(1, d + 1)
@@ -215,30 +226,74 @@ def maximize_brute(d: int, N: int, M: int) -> OmegaReport:
 
 
 # ---------------------------------------------------------------------------
-# Greedy ascent: box transfers on m, mu re-optimized exactly at each m
+# Exact maximization one partition at a time
 # ---------------------------------------------------------------------------
 
 
-def _mu_gain(m: tuple[int, ...], mu: list[int], k: int) -> int:
-    # change of F2 when incrementing mu_k by one
-    return 2 * m[k] - 2 * (k + 1) - 2 * mu[k] - 1
-
-
 def _best_mu(d: int, N: int, m: tuple[int, ...]) -> list[int]:
-    """Exact maximizer of F2 over mu for fixed m: greedy marginal
-    allocation (the slot objective is concave, so this is optimal)."""
-    mu = [0] * d
-    caps = [m[k] - m[k + 1] for k in range(d - 1)] + [N]
-    for _ in range(N):
-        best_k, best_g = None, None
-        for k in range(d):
-            if mu[k] >= caps[k]:
-                continue
-            g = _mu_gain(m, mu, k)
-            if best_g is None or g > best_g:
-                best_k, best_g = k, g
-        mu[best_k] += 1
-    return mu
+    """The maximizer of F2 over mu for fixed m, which is unique: fill the
+    slots in order, each up to its box m_k - m_{k+1}, and put the rest in
+    the last slot.  A unit raising mu_k to x gains 2 m_k - 2k - 2x + 1
+    (1-based k), decreasing in x, and the last unit the box of slot k
+    admits gains 2 m_{k+1} - 2k + 1, four more than the first unit of
+    slot k + 1.  Every gain of a slot exceeds every gain of the slots
+    after it, so the N largest gains are the first N in slot order."""
+    mu, left = [], N
+    for k in range(d - 1):
+        take = min(m[k] - m[k + 1], left)
+        mu.append(take)
+        left -= take
+    return mu + [left]
+
+
+def _head_count(caps: tuple[int, ...], N: int) -> int:
+    """Number of integer vectors x with 0 <= x_k <= caps[k] and
+    sum(x) <= N: the coefficients of prod_k (1 + t + ... + t^caps[k]),
+    truncated past t^N, summed."""
+    ways = [1] + [0] * N  # ways[s]: vectors over the caps so far with sum s
+    for cap in caps:
+        prefix = list(accumulate(ways))
+        ways = prefix[: cap + 1] + [
+            prefix[s] - prefix[s - cap - 1] for s in range(cap + 1, N + 1)
+        ]
+    return sum(ways)
+
+
+def maximize_exact(d: int, N: int, M: int) -> OmegaReport:
+    """maximize_brute's report, field for field, without listing labels.
+
+    Partitions m are walked in _partitions order.  Each contributes its
+    one maximizer (_best_mu) and its label count: the mu_head with
+    0 <= mu_k <= m_k - m_{k+1} and sum <= N (mu_last's only cap is N),
+    counted once per multiset of box sides, capped at N.  The errors are
+    maximize_brute's, in its order: N and M, then d, then the guard."""
+    if N < 1 or M < 1:
+        raise ValueError("maximization needs N >= 1 and M >= 1")
+    if d < 2:
+        raise ValueError("need d >= 2, N >= 0, M >= 0")
+    check_enumeration_guard(d, M)
+    best = None
+    maximizers: list[CandidatePoint] = []
+    count = 0
+    counts: dict[tuple[int, ...], int] = {}
+    for m in _partitions(M, d):
+        sides = (min(m[k] - m[k + 1], N) for k in range(d - 1))
+        caps = tuple(sorted(c for c in sides if c))
+        if caps not in counts:
+            counts[caps] = _head_count(caps, N)
+        count += counts[caps]
+        mu = _best_mu(d, N, m)
+        top = _f2(m, mu)
+        if best is None or top > best:
+            best, maximizers = top, []
+        if top == best:
+            maximizers.append(CandidatePoint(m, tuple(mu)))
+    return _report(d, N, M, maximizers, count)
+
+
+# ---------------------------------------------------------------------------
+# Greedy ascent: box transfers on m, mu re-optimized exactly at each m
+# ---------------------------------------------------------------------------
 
 
 def maximize_greedy(

@@ -2,14 +2,14 @@
 
 Conventions: rationals as [numerator, denominator] in lowest terms,
 matrices as {"rows", "cols", "entries"} with row-major [re, im] pairs,
-occupation vectors and weights as plain integer arrays.
+occupation vectors and weights as plain integer arrays.  numpy is
+imported by the three matrix functions only, so the exact commands'
+output needs none.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-import numpy as np
 
 from .omega_opt import OmegaReport
 
@@ -29,6 +29,8 @@ def fraction_pair(x: Fraction) -> list[int]:
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
+    import numpy as np
+
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
     return {
         "rows": mat.shape[0],
@@ -38,6 +40,8 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    import numpy as np
+
     rows, cols = int(obj["rows"]), int(obj["cols"])
     flat = np.array([complex(re, im) for re, im in obj["entries"]])
     if flat.shape[0] != rows * cols:
@@ -48,6 +52,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def vector_from_json(obj) -> np.ndarray:
     """A complex vector from either a [[re, im], ...] array or a matrix
     object with a single column or row."""
+    import numpy as np
+
     if isinstance(obj, dict):
         mat = matrix_from_json(obj)
         return mat.reshape(-1)

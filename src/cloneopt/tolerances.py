@@ -12,8 +12,9 @@ and answer past the first.  The Kraus
 entry guard bounds the entries of the optimal cloner's Kraus operators.
 The branch guard bounds the summands pieri_branch lists.  The
 enumeration guard (DEFAULT_M_GUARD, DEFAULT_D_GUARD) bounds the (m, mu)
-label domain that enumerate_W1 and maximize_brute walk.  Each limit is
-a fixed constant: no function or command takes another value.
+label domain that enumerate_W1 and maximize_brute walk and
+maximize_exact counts.  Each limit is a fixed constant: no function or
+command takes another value.
 """
 
 STRUCTURAL_TOL = 1e-10

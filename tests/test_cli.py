@@ -134,6 +134,20 @@ def test_verify_all():
     assert doc["failures"] == []
 
 
+def test_verify_all_checks_the_exact_maximizer(monkeypatch):
+    # verify all holds omega max's maximizer equal to the listing oracle
+    from dataclasses import replace
+
+    from cloneopt import omega_opt
+
+    exact = omega_opt.maximize_exact
+    monkeypatch.setattr(omega_opt, "maximize_exact", lambda *args: replace(
+        exact(*args), count_enumerated=exact(*args).count_enumerated + 1))
+    code, out = capture(["verify", "all", "--d", "2", "--n", "1", "--m", "3"])
+    assert code == 1
+    assert json.loads(out)["failures"] == ["exact-maximizer"]
+
+
 # sha256 of stdout, recorded before Channel stored its Kraus operators as
 # one stack.  channel defect|twirl are left out: their round-off-level
 # estimates differ between one and two BLAS threads at some sizes, so

@@ -144,6 +144,71 @@ def test_brute_keeps_tied_labels_in_enumeration_order(monkeypatch):
         assert rep.count_enumerated == len(points) == 3 * len(listed_domain(d, N, M))
 
 
+def test_partition_maximizer_matches_listed_block():
+    # the per-partition step of maximize_exact on its own: _best_mu's F2
+    # and its one maximizer equal the block's top value and its tie rows,
+    # in order.  The grid holds 4,030 partitions and none has two or more
+    # maximizers: each gain of slot k exceeds every gain of slot k + 1
+    # (see _best_mu), so no two allocations tie
+    slots = 2 * np.arange(1, 6)
+    partitions = tied = 0
+    for d in range(2, 6):
+        for M in range(0, 11):
+            for N in range(0, 13):
+                for m, block in omega_opt._label_blocks(d, N, M):
+                    values = np.sum(block * (2 * np.array(m) - slots[:d] - block), axis=1)
+                    rows = [tuple(row) for row in block[values == values.max()].tolist()]
+                    mu = tuple(omega_opt._best_mu(d, N, m))
+                    assert f2(CandidatePoint(m, mu)) == values.max(), (d, N, M, m)
+                    assert [mu] == rows, (d, N, M, m)
+                    partitions += 1
+                    tied += len(rows) > 1
+    assert (partitions, tied) == (4030, 0)
+
+
+# d = 2..8, N up to M + 2, and the sizes `omega max` runs in the benchmark
+EXACT_GRID = [(d, N, M) for d in range(2, 9) for M in range(1, 13) for N in range(1, M + 3)]
+EXACT_GRID += [(3, 2, 10), (4, 3, 12), (5, 2, 14), (7, 8, 22), (8, 10, 30)]
+
+
+def test_exact_report_equals_brute():
+    # every field: omega, gamma, delta_one, maximizers in order, count_enumerated
+    for d, N, M in EXACT_GRID:
+        assert omega_opt.maximize_exact(d, N, M) == maximize_brute(d, N, M), (d, N, M)
+
+
+def test_exact_keeps_tied_maximizers_in_enumeration_order(monkeypatch):
+    # no domain has a tied maximum, so walk every partition twice: both
+    # maximizers list each maximizing label twice and count it twice
+    walk = omega_opt._partitions
+
+    def doubled(M, d):
+        for m in walk(M, d):
+            yield m
+            yield m
+
+    monkeypatch.setattr(omega_opt, "_partitions", doubled)
+    for d, N, M in [(2, 3, 2), (3, 2, 4), (4, 3, 3), (5, 4, 9)]:
+        rep = omega_opt.maximize_exact(d, N, M)
+        assert len(rep.maximizers) == 2
+        assert rep == maximize_brute(d, N, M), (d, N, M)
+
+
+@pytest.mark.parametrize("d,N,M", [(2, 0, 3), (2, 3, 0), (1, 1, 2), (0, 0, 0), (1, 2, 40),
+                                   (9, 1, 4), (2, 1, 31), (9, 1, 31)])
+def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
+    def refuse(M, d):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr(omega_opt, "_partitions", refuse)
+    errors = []
+    for maximize in (maximize_brute, omega_opt.maximize_exact):
+        with pytest.raises((ValueError, DimensionGuardError)) as info:
+            maximize(d, N, M)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
 def test_random_feasible_point_indexes_the_enumeration():
     for d, N, M in [(2, 1, 2), (2, 3, 7), (3, 0, 4), (3, 2, 6), (5, 4, 9), (8, 3, 6)]:
         points = enumerate_W1(d, N, M)
@@ -216,6 +281,11 @@ def test_greedy_fixed_point():
     assert maximize_greedy(3, 2, 5, start=p) == p
 
 
+def mu_gain(m, mu, k):
+    # change of F2 when incrementing mu_k by one
+    return 2 * m[k] - 2 * (k + 1) - 2 * mu[k] - 1
+
+
 def exchange_mu(point):
     """Oracle: the former fixed-m search, exchange moves on mu (slot-to-slot
     transfers), each strictly increasing F2, until none improves."""
@@ -231,7 +301,7 @@ def exchange_mu(point):
                 if i == j or mu[i] >= caps[i]:
                     continue
                 mu[j] -= 1
-                gain = omega_opt._mu_gain(m, mu, i) - omega_opt._mu_gain(m, mu, j)
+                gain = mu_gain(m, mu, i) - mu_gain(m, mu, j)
                 mu[j] += 1
                 if gain > 0 and (best is None or gain > best[0]):
                     best = (gain, j, i)

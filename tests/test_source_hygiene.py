@@ -110,14 +110,15 @@ def test_every_method_is_referenced():
 
 def test_every_export_is_read_outside_its_module():
     # a name in a module's __all__, or in cloneopt.__all__, must be read by
-    # cli.py, a demo, perfbench or another module; __init__ only re-exports
+    # cli.py, a demo, perfbench or another module; __init__ only re-exports,
+    # each name from the module its lazy _EXPORTS table names
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    home = {
-        alias.name: PACKAGE / f"{node.module}.py"
-        for node in init.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    table = next(
+        node.value for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+    )
+    home = {name: PACKAGE / f"{module}.py" for name, module in ast.literal_eval(table).items()}
     exports = {(name, home[name]) for name in exported(init)}
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     for path in modules:
