@@ -13,54 +13,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelPropertyError",
-    "CloneOptError",
-    "DimensionGuardError",
-    "DEFAULT_DENSE_GUARD",
-    "STATE_TOL",
-    "STRUCTURAL_TOL",
-    "SYMMETRIC_BASIS",
-    "DensityOperator",
-    "PureState",
-    "haar_state",
-    "occupation_basis",
-    "one_body_operator",
-    "product_power",
-    "single_site_marginal",
-    "sym_dimension",
-    "sym_embed",
-    "adjoint_multiplicity",
-    "casimirs",
-    "fund_power_multiplicity",
-    "parse_weight",
-    "pieri_branch",
-    "weyl_dimension",
-    "Channel",
-    "ClonerSpec",
-    "all_clone_overlap",
-    "delta_all_numeric",
-    "delta_one_closed_form",
-    "optimal_cloner",
-    "shrinking_factor",
-    "single_clone_marginal",
-    "choi",
-    "covariance_defect",
-    "delta_one_numeric",
-    "omega_measure",
-    "su2_component_cloner",
-    "CandidatePoint",
-    "OmegaReport",
-    "enumerate_W1",
-    "f2",
-    "gamma_from_omega",
-    "maximize_brute",
-    "maximize_greedy",
-    "omega_of_point",
-    "omega_su2",
-]
-
-# exported name -> the module that defines it
+# exported name -> the module that defines it; __all__ is its keys, in order
 _EXPORTS = {
     "ChannelPropertyError": "errors",
     "CloneOptError": "errors",
@@ -107,6 +60,8 @@ _EXPORTS = {
     "omega_of_point": "omega_opt",
     "omega_su2": "omega_opt",
 }
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):

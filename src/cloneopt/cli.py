@@ -24,7 +24,7 @@ from . import omega_opt as oo
 from . import rep_theory as rt
 from . import serialize as se
 from .errors import CloneOptError, DimensionGuardError
-from .tolerances import STATE_TOL, STRUCTURAL_TOL
+from .tolerances import MAX_D, MAX_SITES, STATE_TOL, STRUCTURAL_TOL
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -91,16 +91,16 @@ def _input_state(args):
 
 
 def _check_sites(name: str, count: int) -> None:
-    if not 0 <= count <= 64:
-        raise UsageError(f"{name} must be in [0, 64], got {count}")
+    if not 0 <= count <= MAX_SITES:
+        raise UsageError(f"{name} must be in [0, {MAX_SITES}], got {count}")
 
 
 def _check_ranges(args) -> None:
     # a weight has d components; counted before any of them is parsed
     weight = getattr(args, "weight", None)
     d = len(weight.split(",")) if weight is not None else getattr(args, "d", None)
-    if d is not None and not 2 <= d <= 8:
-        raise UsageError(f"d must be in [2, 8], got {d}")
+    if d is not None and not 2 <= d <= MAX_D:
+        raise UsageError(f"d must be in [2, {MAX_D}], got {d}")
     n = getattr(args, "n", None)
     if n is not None:
         _check_sites("N", n)
@@ -177,7 +177,7 @@ def _cmd_cloner_apply(args):
 
     spec = _cloner_spec(args)
     psi = _input_state(args)
-    channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before any state is built
+    channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before psi^N is built
     rho_out = channel.apply_fast(tc.product_power(psi, args.n))
     return {
         "d": args.d,

@@ -12,18 +12,18 @@ cloner.  All values are exact rationals.
 
 maximize_exact finds the maximum without listing labels: at fixed m,
 F2 has one maximizer, found in O(d), and the labels of m are counted,
-not listed.  maximize_brute lists every label (enumerate_W1's walk) and
-stays as its oracle.
+not listed, so it answers every d <= 8, M <= 64.  maximize_brute lists
+every label (enumerate_W1's walk, up to M = 30) and stays as its
+oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import DimensionGuardError
-from .rep_theory import check_dominant, is_dominant
-from .tolerances import DEFAULT_D_GUARD, DEFAULT_M_GUARD
+from .rep_theory import check_dominant, is_dominant, pieri_count
+from .tolerances import DEFAULT_M_GUARD, MAX_D, MAX_SITES
 
 __all__ = [
     "CandidatePoint",
@@ -149,9 +149,9 @@ def _partitions(M: int, d: int):
 def check_enumeration_guard(d: int, M: int) -> None:
     """Raise DimensionGuardError when the label domain of (d, M) is past
     the enumeration guards."""
-    if M > DEFAULT_M_GUARD or d > DEFAULT_D_GUARD:
+    if M > DEFAULT_M_GUARD or d > MAX_D:
         raise DimensionGuardError(
-            f"enumeration guard exceeded (M <= {DEFAULT_M_GUARD}, d <= {DEFAULT_D_GUARD})"
+            f"enumeration guard exceeded (M <= {DEFAULT_M_GUARD}, d <= {MAX_D})"
         )
 
 
@@ -246,32 +246,23 @@ def _best_mu(d: int, N: int, m: tuple[int, ...]) -> list[int]:
     return mu + [left]
 
 
-def _head_count(caps: tuple[int, ...], N: int) -> int:
-    """Number of integer vectors x with 0 <= x_k <= caps[k] and
-    sum(x) <= N: the coefficients of prod_k (1 + t + ... + t^caps[k]),
-    truncated past t^N, summed."""
-    ways = [1] + [0] * N  # ways[s]: vectors over the caps so far with sum s
-    for cap in caps:
-        prefix = list(accumulate(ways))
-        ways = prefix[: cap + 1] + [
-            prefix[s] - prefix[s - cap - 1] for s in range(cap + 1, N + 1)
-        ]
-    return sum(ways)
-
-
 def maximize_exact(d: int, N: int, M: int) -> OmegaReport:
-    """maximize_brute's report, field for field, without listing labels.
+    """maximize_brute's report, field for field, without listing labels,
+    over the whole range d <= MAX_D, M <= MAX_SITES.
 
     Partitions m are walked in _partitions order.  Each contributes its
-    one maximizer (_best_mu) and its label count: the mu_head with
-    0 <= mu_k <= m_k - m_{k+1} and sum <= N (mu_last's only cap is N),
-    counted once per multiset of box sides, capped at N.  The errors are
-    maximize_brute's, in its order: N and M, then d, then the guard."""
+    one maximizer (_best_mu) and its label count, the Pieri count of N
+    boxes on m: the mu_head with 0 <= mu_k <= m_k - m_{k+1} and
+    sum <= N (mu_last's only cap is N), counted once per multiset of box
+    sides, capped at N.  The errors are maximize_brute's ValueErrors, in
+    its order (N and M, then d), then DimensionGuardError past the
+    range; the listing guard M <= DEFAULT_M_GUARD does not apply."""
     if N < 1 or M < 1:
         raise ValueError("maximization needs N >= 1 and M >= 1")
     if d < 2:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
-    check_enumeration_guard(d, M)
+    if M > MAX_SITES or d > MAX_D:
+        raise DimensionGuardError(f"range exceeded (M <= {MAX_SITES}, d <= {MAX_D})")
     best = None
     maximizers: list[CandidatePoint] = []
     count = 0
@@ -280,7 +271,7 @@ def maximize_exact(d: int, N: int, M: int) -> OmegaReport:
         sides = (min(m[k] - m[k + 1], N) for k in range(d - 1))
         caps = tuple(sorted(c for c in sides if c))
         if caps not in counts:
-            counts[caps] = _head_count(caps, N)
+            counts[caps] = pieri_count(N, m)
         count += counts[caps]
         mu = _best_mu(d, N, m)
         top = _f2(m, mu)

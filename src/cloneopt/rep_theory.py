@@ -6,8 +6,8 @@ may be negative.  All arithmetic is exact (Python integers / Fraction).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
+from math import factorial, prod
 
 from .errors import DimensionGuardError
 from .tolerances import BRANCH_SUMMAND_GUARD
@@ -72,16 +72,21 @@ def weyl_dimension(m: tuple[int, ...]) -> int:
 def pieri_count(N: int, m: tuple[int, ...]) -> int:
     """Number of summands pieri_branch(N, m) returns, counted without
     listing them: the (mu_2, ..., mu_d) with mu_{k+1} <= m_k - m_{k+1}
-    and sum at most N (mu_1 takes the rest), one slot at a time over
-    the sums 0..N."""
+    and sum at most N (mu_1 takes the rest).  That is the coefficients
+    of prod_k (1 + t + ... + t^cap_k) up to t^N, summed, with each cap
+    clipped at N; a zero cap leaves the product as it is."""
     m = check_dominant(m)
     if N < 0:
         raise ValueError("N must be non-negative")
     ways = [1] + [0] * N  # ways[s]: choices of the slots so far with sum s
     for k in range(1, len(m)):
-        cap = m[k - 1] - m[k]
-        prefix = list(accumulate(ways, initial=0))
-        ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(N + 1)]
+        cap = min(m[k - 1] - m[k], N)
+        if not cap:
+            continue
+        prefix = list(accumulate(ways))
+        ways = prefix[: cap + 1] + [
+            prefix[s] - prefix[s - cap - 1] for s in range(cap + 1, N + 1)
+        ]
     return sum(ways)
 
 
@@ -121,29 +126,26 @@ def pieri_branch(N: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fund_multiplicity(m: tuple[int, ...]) -> int:
-    if any(x < 0 for x in m) or not is_dominant(m):
-        return 0
-    if all(x == 0 for x in m):
-        return 1
-    total = 0
-    for j in range(len(m)):
-        lowered = m[:j] + (m[j] - 1,) + m[j + 1 :]
-        total += _fund_multiplicity(lowered)
-    return total
-
-
 def fund_power_multiplicity(m: tuple[int, ...], M: int) -> int:
     """Multiplicity of pi_m in the M-fold tensor power of the defining rep.
 
-    Computed by the box-removal recurrence with multiplicity zero on
-    non-dominant tuples; zero when sum(m) != M or m_d < 0.
+    By Schur-Weyl duality it is the number of standard tableaux of shape
+    m, given by the hook-length formula in the shifted parts
+    l_i = m_i + d - 1 - i (0-based i):
+
+        M! prod_{i<j} (l_i - l_j) / prod_i l_i!
+
+    Zero when sum(m) != M, m is not dominant or m_d < 0.
     """
     m = tuple(int(x) for x in m)
-    if sum(m) != M:
+    if sum(m) != M or not is_dominant(m) or (m and m[-1] < 0):
         return 0
-    return _fund_multiplicity(m)
+    d = len(m)
+    shifted = [x + d - 1 - i for i, x in enumerate(m)]
+    gaps = prod(shifted[i] - shifted[j] for i in range(d) for j in range(i + 1, d))
+    count, rem = divmod(factorial(M) * gaps, prod(factorial(x) for x in shifted))
+    assert rem == 0
+    return count
 
 
 def adjoint_multiplicity(d: int, N: int) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from cloneopt.cloner import Channel, ClonerSpec
 from cloneopt.omega_opt import CandidatePoint, _label_blocks
-from cloneopt.rep_theory import check_dominant, pieri_branch
+from cloneopt.rep_theory import check_dominant, is_dominant, pieri_branch
 from cloneopt.tensor_core import _table, check_dense_guard, sym_dimension, sym_embed
 
 
@@ -46,6 +46,21 @@ def contains_sym(m: tuple[int, ...], n: tuple[int, ...], N: int) -> bool:
     if len(m) != len(n):
         raise ValueError("weights must have equal length")
     return m in pieri_branch(N, conjugate_weight(n))
+
+
+@functools.lru_cache(maxsize=None)
+def box_removal_multiplicity(m: tuple[int, ...]) -> int:
+    """Multiplicity of pi_m in the sum(m)-fold tensor power of the
+    defining rep by the box-removal recurrence: the oracle of the
+    hook-length formula in fund_power_multiplicity.  Zero on tuples that
+    are not dominant or have a negative entry."""
+    if any(x < 0 for x in m) or not is_dominant(m):
+        return 0
+    if all(x == 0 for x in m):
+        return 1
+    return sum(
+        box_removal_multiplicity(m[:j] + (m[j] - 1,) + m[j + 1 :]) for j in range(len(m))
+    )
 
 
 # --- occupation bases and dense oracles ------------------------------------

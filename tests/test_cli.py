@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloneopt import maximize_brute
+from cloneopt import maximize_brute, omega_opt
 from cloneopt.cli import build_parser, run
 from cloneopt.serialize import (
     fraction_pair,
@@ -265,11 +265,14 @@ def test_exit_codes():
     assert code == 2
 
 
-def test_omega_max_guard_exits_3(capsys):
-    code = run(["omega", "max", "--d", "8", "--n", "10", "--m", "31"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_omega_max_answers_past_the_listing_guard(capsys, monkeypatch):
+    # omega max lists no labels, so M <= 30 does not bound it: (8, 10, 31)
+    # prints the listing's report, with that guard lifted for the listing
+    assert run(["omega", "max", "--d", "8", "--n", "10", "--m", "31"]) == 0
+    out, err = capsys.readouterr()
+    monkeypatch.setattr(omega_opt, "check_enumeration_guard", lambda d, M: None)
+    assert out == dumps(omega_report_to_json(maximize_brute(8, 10, 31)))
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv,answered,refused,side", [

@@ -20,6 +20,7 @@ from cloneopt import (
 from cloneopt import omega_opt
 from cloneopt.omega_opt import gamma_from_omega
 from cloneopt.rep_theory import is_dominant
+from cloneopt.tolerances import MAX_D, MAX_SITES
 
 from reference import conjugate_weight, contains_sym, random_feasible_point
 
@@ -166,13 +167,18 @@ def test_partition_maximizer_matches_listed_block():
     assert (partitions, tied) == (4030, 0)
 
 
-# d = 2..8, N up to M + 2, and the sizes `omega max` runs in the benchmark
+# d = 2..8, N up to M + 2, the sizes `omega max` runs in the benchmark,
+# and sizes past the listing guard M <= 30 whose domain is cheap to list
 EXACT_GRID = [(d, N, M) for d in range(2, 9) for M in range(1, 13) for N in range(1, M + 3)]
 EXACT_GRID += [(3, 2, 10), (4, 3, 12), (5, 2, 14), (7, 8, 22), (8, 10, 30)]
+EXACT_GRID += [(2, 5, 40), (3, 4, 35), (2, 1, 64), (3, 2, 50)]
 
 
-def test_exact_report_equals_brute():
-    # every field: omega, gamma, delta_one, maximizers in order, count_enumerated
+def test_exact_report_equals_brute(monkeypatch):
+    # every field: omega, gamma, delta_one, maximizers in order,
+    # count_enumerated; maximize_exact has no M <= 30 guard, so the
+    # listing's is lifted here alone
+    monkeypatch.setattr(omega_opt, "check_enumeration_guard", lambda d, M: None)
     for d, N, M in EXACT_GRID:
         assert omega_opt.maximize_exact(d, N, M) == maximize_brute(d, N, M), (d, N, M)
 
@@ -195,18 +201,27 @@ def test_exact_keeps_tied_maximizers_in_enumeration_order(monkeypatch):
 
 
 @pytest.mark.parametrize("d,N,M", [(2, 0, 3), (2, 3, 0), (1, 1, 2), (0, 0, 0), (1, 2, 40),
-                                   (9, 1, 4), (2, 1, 31), (9, 1, 31)])
+                                   (1, 2, 65), (9, 1, 4), (2, 1, 31), (9, 1, 31), (2, 1, 65)])
 def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
+    # the ValueErrors are brute's, in its order.  Of brute's listing guard
+    # (M <= 30, d <= 8) exact keeps d <= 8, with M <= 64 in place of
+    # M <= 30: it answers (2, 1, 31) and refuses the rest before any walk
     def refuse(M, d):
         raise AssertionError("enumerated past the guard")
 
     monkeypatch.setattr(omega_opt, "_partitions", refuse)
-    errors = []
-    for maximize in (maximize_brute, omega_opt.maximize_exact):
-        with pytest.raises((ValueError, DimensionGuardError)) as info:
-            maximize(d, N, M)
-        errors.append((type(info.value), str(info.value)))
-    assert errors[0] == errors[1]
+    with pytest.raises((ValueError, DimensionGuardError)) as brute:
+        maximize_brute(d, N, M)
+    if brute.type is DimensionGuardError and d <= MAX_D and M <= MAX_SITES:
+        monkeypatch.undo()
+        assert omega_opt.maximize_exact(d, N, M).maximizers == (top_point(d, N, M),)
+        return
+    with pytest.raises(brute.type) as exact:
+        omega_opt.maximize_exact(d, N, M)
+    if brute.type is ValueError:
+        assert str(exact.value) == str(brute.value)
+    else:
+        assert str(exact.value) == "range exceeded (M <= 64, d <= 8)"
 
 
 def test_random_feasible_point_indexes_the_enumeration():

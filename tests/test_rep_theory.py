@@ -1,4 +1,5 @@
 """Highest-weight arithmetic: conjugation, Casimirs, branching, multiplicities."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,13 @@ from cloneopt.errors import DimensionGuardError
 from cloneopt.rep_theory import is_dominant, pieri_count
 from cloneopt.tolerances import BRANCH_SUMMAND_GUARD
 
-from reference import conjugate_weight, contains_sym, normalize_weight, normalized_conjugate
+from reference import (
+    box_removal_multiplicity,
+    conjugate_weight,
+    contains_sym,
+    normalize_weight,
+    normalized_conjugate,
+)
 
 
 dominant_weights = st.integers(2, 4).flatmap(
@@ -122,6 +129,28 @@ def test_fund_power_multiplicity_values():
     assert fund_power_multiplicity((2, 1), 3) == 2
     assert fund_power_multiplicity((3, 0), 2) == 0  # wrong box count
     assert fund_power_multiplicity((1, 2), 3) == 0  # not dominant
+    # the CLI's largest d and M, where the recurrence takes seconds
+    m = (22, 14, 10, 7, 5, 3, 2, 1)
+    assert fund_power_multiplicity(m, 64) == 964443310918604356936874449554970214400
+
+
+def test_fund_power_multiplicity_matches_box_removal():
+    # every weight of d 2-4 entries in [-2, 8] with sum <= 14, at its own
+    # box count and at a wrong one; the recurrence is zero off the
+    # dominant, non-negative weights, and so must the formula be
+    nonzero = 0
+    for d in (2, 3, 4):
+        for m in itertools.product(range(-2, 9), repeat=d):
+            M = sum(m)
+            if M > 14:
+                continue
+            expected = box_removal_multiplicity(m)
+            assert fund_power_multiplicity(m, M) == expected, m
+            assert fund_power_multiplicity(m, M + 1) == 0, m
+            if not is_dominant(m) or m[-1] < 0:
+                assert expected == 0, m
+            nonzero += expected > 0
+    assert nonzero == 356
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

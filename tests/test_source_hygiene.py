@@ -1,6 +1,7 @@
 """Dead-code checks on the package source: no unread import, no
 unreferenced private module-level function or class, no unreferenced
-method, and no exported name that only its own module reads."""
+method, no exported name that only its own module reads, and no
+unbounded cache."""
 import ast
 from pathlib import Path
 
@@ -47,13 +48,23 @@ def references(tree):
     return found
 
 
+def assignments(tree):
+    """Module-level name -> the expression assigned to it."""
+    return {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def exported(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+    """A module's literal __all__; for __init__, whose __all__ is built
+    from its lazy _EXPORTS table (name -> module), that table's keys."""
+    values = assignments(tree)
+    table = values.get("_EXPORTS", values.get("__all__"))
+    return set() if table is None else set(ast.literal_eval(table))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -113,13 +124,8 @@ def test_every_export_is_read_outside_its_module():
     # cli.py, a demo, perfbench or another module; __init__ only re-exports,
     # each name from the module its lazy _EXPORTS table names
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    table = next(
-        node.value for node in init.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
-    )
-    home = {name: PACKAGE / f"{module}.py" for name, module in ast.literal_eval(table).items()}
-    exports = {(name, home[name]) for name in exported(init)}
+    table = ast.literal_eval(assignments(init)["_EXPORTS"])
+    exports = {(name, PACKAGE / f"{table[name]}.py") for name in exported(init)}
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     for path in modules:
         exports |= {(name, path) for name in exported(ast.parse(path.read_text()))}
@@ -131,3 +137,40 @@ def test_every_export_is_read_outside_its_module():
         if not any(name in names for reader, names in reads.items() if reader != path)
     )
     assert not unread, f"exported names only their own module reads: {unread}"
+
+
+def unbounded_caches(tree):
+    """Lines that use functools.cache or call lru_cache with maxsize None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_unbounded_cache():
+    # a cache without a bound grows for the life of the process; the
+    # package keeps none (the tests' oracles may)
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in unbounded_caches(ast.parse(path.read_text()))
+    ]
+    assert not found, f"unbounded caches: {found}"
+    samples = [
+        "@functools.lru_cache(maxsize=None)\ndef f(): pass",
+        "@lru_cache(None)\ndef f(): pass",
+        "@functools.cache\ndef f(): pass",
+        "from functools import cache",
+    ]
+    assert all(unbounded_caches(ast.parse(s)) for s in samples)
+    assert not unbounded_caches(ast.parse("@lru_cache(maxsize=64)\ndef f(): pass"))

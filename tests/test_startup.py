@@ -75,11 +75,13 @@ for argv in sys.argv[1:]:
 EXACT_ARGVS = [
     "omega max --d 4 --n 3 --m 12",
     "omega max --d 8 --n 10 --m 31",
+    "omega max --d 8 --n 64 --m 64",
     "omega point --weight 3,1,0 --mu 1,1,0",
     "omega su2 --alpha 1 --beta 1/2 --gamma 1/2",
     "rep casimir --weight 2,1,0",
     "rep branch --weight 2,1,0 --n 2",
     "rep multiplicity --weight 2,1 --m 3",
+    "rep multiplicity --weight 22,14,10,7,5,3,2,1 --m 64",
     "rep adjoint --d 3 --n 2",
 ]
 
@@ -93,9 +95,8 @@ def test_exact_commands_run_without_numpy():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    # (8, 10, 31) is past the enumeration guard: exit 3 without numpy too
-    codes = [0, 3] + [0] * (len(EXACT_ARGVS) - 2)
-    assert rows[:-1] == [[None, False]] + [[code, False] for code in codes]
+    # omega max answers past the listing guard M <= 30, to M = 64
+    assert rows[:-1] == [[None, False]] + [[0, False]] * len(EXACT_ARGVS)
     assert rows[-1] == [0, True]
 
 
