@@ -218,7 +218,9 @@ def omega_measure(channel: Channel) -> float:
 
     Raises ChannelPropertyError when the least-squares relative residual
     exceeds 1e-8 (the channel is then not covariant enough to define a
-    single omega)."""
+    single omega), and ValueError at N = 0, where the input generators vanish."""
+    if channel.n_in == 0:
+        raise ValueError("omega is undefined for N = 0 (trivial input)")
     d = channel.d
     num = 0.0
     den = 0.0

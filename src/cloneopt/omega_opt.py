@@ -12,9 +12,8 @@ cloner.  All values are exact rationals.
 
 maximize_exact finds the maximum without listing labels: at fixed m,
 F2 has one maximizer, found in O(d), and the labels of m are counted,
-not listed, so it answers every d <= 8, M <= 64.  maximize_brute lists
-every label (enumerate_W1's walk, up to M = 30) and stays as its
-oracle.
+not listed.  maximize_brute lists every label (enumerate_W1's walk) and
+stays as its oracle.  Both answer every d <= 8, M <= 64.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DimensionGuardError
 from .rep_theory import check_dominant, is_dominant, pieri_count
-from .tolerances import DEFAULT_M_GUARD, MAX_D, MAX_SITES
+from .tolerances import MAX_D, MAX_SITES
 
 __all__ = [
     "CandidatePoint",
@@ -32,7 +31,6 @@ __all__ = [
     "omega_of_point",
     "gamma_from_omega",
     "delta_one_from_gamma",
-    "check_enumeration_guard",
     "enumerate_W1",
     "maximize_brute",
     "maximize_exact",
@@ -131,41 +129,45 @@ def delta_one_from_gamma(gamma: Fraction, d: int) -> Fraction:
 
 
 def _partitions(M: int, d: int):
-    """Dominant tuples of d non-negative integers summing to M."""
-
-    def _gen(slots, total, cap):
-        if slots == 1:
-            if total <= cap:
-                yield (total,)
+    """Dominant tuples of d non-negative integers summing to M, in reverse
+    lexicographic order."""
+    p = [M] + [0] * (d - 1)
+    while True:
+        yield tuple(p)
+        # lower the rightmost slot i < d - 1 whose tail still fits under it,
+        # sum(p[i:]) <= (d - i) (p[i] - 1), then fill the tail greedily
+        tail = p[-1]
+        for i in range(d - 2, -1, -1):
+            tail += p[i]
+            if tail <= (d - i) * (p[i] - 1):
+                break
+        else:
             return
-        lo = -(-total // slots)  # ceil: keep dominance feasible
-        for first in range(min(total, cap), lo - 1, -1):
-            for rest in _gen(slots - 1, total - first, first):
-                yield (first,) + rest
+        cap = p[i] = p[i] - 1
+        left = tail - cap
+        for j in range(i + 1, d):
+            p[j] = min(cap, left)
+            left -= p[j]
 
-    yield from _gen(d, M, M)
 
-
-def check_enumeration_guard(d: int, M: int) -> None:
-    """Raise DimensionGuardError when the label domain of (d, M) is past
-    the enumeration guards."""
-    if M > DEFAULT_M_GUARD or d > MAX_D:
-        raise DimensionGuardError(
-            f"enumeration guard exceeded (M <= {DEFAULT_M_GUARD}, d <= {MAX_D})"
-        )
+def _check_labels(d: int, N: int, M: int) -> None:
+    """The label domain's one range check, shared by both maximizers."""
+    if d < 2 or N < 0 or M < 0:
+        raise ValueError("need d >= 2, N >= 0, M >= 0")
+    if M > MAX_SITES or d > MAX_D:
+        raise DimensionGuardError(f"range exceeded (M <= {MAX_SITES}, d <= {MAX_D})")
 
 
 def _label_blocks(d: int, N: int, M: int):
     """Walk the feasible domain one dominant partition m at a time, in
     _partitions order: yield (m, mu) with mu an int64 array holding, one
     row per label, the mu_head of the box grid in itertools.product order
-    followed by mu_last = N - sum(mu_head) >= 0.  The guards are checked
-    before anything is enumerated."""
+    followed by mu_last = N - sum(mu_head) >= 0.  The range is checked
+    first; then time and memory grow with the label count, which
+    maximize_exact(d, N, M).count_enumerated gives without listing."""
     import numpy as np
 
-    if d < 2 or N < 0 or M < 0:
-        raise ValueError("need d >= 2, N >= 0, M >= 0")
-    check_enumeration_guard(d, M)
+    _check_labels(d, N, M)
     for m in _partitions(M, d):
         # a slot above N forces mu_last < 0, so the grid stops there
         sides = [min(m[k] - m[k + 1], N) + 1 for k in range(d - 1)]
@@ -254,15 +256,11 @@ def maximize_exact(d: int, N: int, M: int) -> OmegaReport:
     one maximizer (_best_mu) and its label count, the Pieri count of N
     boxes on m: the mu_head with 0 <= mu_k <= m_k - m_{k+1} and
     sum <= N (mu_last's only cap is N), counted once per multiset of box
-    sides, capped at N.  The errors are maximize_brute's ValueErrors, in
-    its order (N and M, then d), then DimensionGuardError past the
-    range; the listing guard M <= DEFAULT_M_GUARD does not apply."""
+    sides, capped at N.  The errors are maximize_brute's, in its order:
+    the ValueError on N and M, then those of _check_labels."""
     if N < 1 or M < 1:
         raise ValueError("maximization needs N >= 1 and M >= 1")
-    if d < 2:
-        raise ValueError("need d >= 2, N >= 0, M >= 0")
-    if M > MAX_SITES or d > MAX_D:
-        raise DimensionGuardError(f"range exceeded (M <= {MAX_SITES}, d <= {MAX_D})")
+    _check_labels(d, N, M)
     best = None
     maximizers: list[CandidatePoint] = []
     count = 0

@@ -136,6 +136,24 @@ def constant_output_channel(d: int, N: int, M: int) -> Channel:
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
 
+def recursive_partitions(M: int, d: int):
+    """Oracle of omega_opt._partitions: the dominant tuples of d
+    non-negative integers summing to M in reverse lexicographic order,
+    one recursive generator per slot."""
+
+    def _gen(slots, total, cap):
+        if slots == 1:
+            if total <= cap:
+                yield (total,)
+            return
+        lo = -(-total // slots)  # ceil: keep dominance feasible
+        for first in range(min(total, cap), lo - 1, -1):
+            for rest in _gen(slots - 1, total - first, first):
+                yield (first,) + rest
+
+    yield from _gen(d, M, M)
+
+
 @functools.lru_cache(maxsize=None)
 def _feasible_blocks(d: int, N: int, M: int) -> tuple[tuple, int]:
     """The label blocks of the enumeration of (d, N, M), listed once, and

@@ -136,6 +136,14 @@ def test_omega_measure_rejects_non_covariant():
         omega_measure(constant_output_channel(2, 1, 2))
 
 
+def test_omega_measure_rejects_trivial_input():
+    # an N = 0 channel has no input-side generator to fit omega against
+    channel = su2_component_cloner(CandidatePoint((2, 0), (0, 0)))
+    assert channel.n_in == 0
+    with pytest.raises(ValueError, match=r"^omega is undefined for N = 0 \(trivial input\)$"):
+        omega_measure(channel)
+
+
 def test_delta_one_numeric_matches_closed_form():
     spec = ClonerSpec(2, 1, 2)
     est = delta_one_numeric(optimal_cloner(spec), samples=200, seed=0)

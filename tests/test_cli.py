@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloneopt import maximize_brute, omega_opt
+from cloneopt import maximize_brute
 from cloneopt.cli import build_parser, run
 from cloneopt.serialize import (
     fraction_pair,
@@ -265,12 +265,11 @@ def test_exit_codes():
     assert code == 2
 
 
-def test_omega_max_answers_past_the_listing_guard(capsys, monkeypatch):
-    # omega max lists no labels, so M <= 30 does not bound it: (8, 10, 31)
-    # prints the listing's report, with that guard lifted for the listing
+def test_omega_max_answers_past_the_listing_guard(capsys):
+    # omega max lists no labels, and prints the listing's report at
+    # (8, 10, 31), past M = 30
     assert run(["omega", "max", "--d", "8", "--n", "10", "--m", "31"]) == 0
     out, err = capsys.readouterr()
-    monkeypatch.setattr(omega_opt, "check_enumeration_guard", lambda d, M: None)
     assert out == dumps(omega_report_to_json(maximize_brute(8, 10, 31)))
     assert err == ""
 
@@ -368,11 +367,23 @@ def test_verify_answers_past_the_dense_guard():
 
 
 def test_verify_refuses_before_any_check():
-    # (3, 1, 33) passes the Kraus and Choi guards but not the omega
-    # domain guard (M <= 30); the refusal comes before the defect samples
-    proc = run_child("-m", "cloneopt.cli", "verify", "all", "--d", 3, "--n", 1, "--m", 33)
+    # (3, 1, 34) needs 595 Kraus operators of 630 x 3 entries, above the
+    # 2^20 guard; the refusal comes before the marginal and defect samples
+    proc = run_child("-m", "cloneopt.cli", "verify", "all", "--d", 3, "--n", 1, "--m", 34)
     assert proc.returncode == 3
-    assert proc.stderr == "error: enumeration guard exceeded (M <= 30, d <= 8)\n"
+    assert proc.stderr == (
+        "error: optimal cloner for (d, N, M) = (3, 1, 34) needs 1124550 Kraus entries, "
+        "above the guard 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("d,n,m", [(2, 1, 31), (2, 5, 40), (2, 30, 64), (2, 62, 64)])
+def test_verify_answers_past_m_30(d, n, m):
+    # the Kraus and Choi guards alone bound verify all; (2, 62, 64) has
+    # Choi side 63 * 65 = 4095
+    code, out = capture(["verify", "all", "--d", str(d), "--n", str(n), "--m", str(m)])
+    assert code == 0
+    assert out == f'{{"ok": true, "d": {d}, "n": {n}, "m": {m}, "failures": []}}\n'
 
 
 def test_verify_builds_no_dense_matrix(monkeypatch):

@@ -22,7 +22,12 @@ from cloneopt.omega_opt import gamma_from_omega
 from cloneopt.rep_theory import is_dominant
 from cloneopt.tolerances import MAX_D, MAX_SITES
 
-from reference import conjugate_weight, contains_sym, random_feasible_point
+from reference import (
+    conjugate_weight,
+    contains_sym,
+    random_feasible_point,
+    recursive_partitions,
+)
 
 
 def top_point(d, N, M):
@@ -78,10 +83,21 @@ def test_enumerated_points_pass_branching_oracle(d, N, M):
 
 
 def test_enumeration_guard():
-    with pytest.raises(DimensionGuardError):
-        enumerate_W1(2, 1, 40)
-    with pytest.raises(DimensionGuardError):
-        enumerate_W1(9, 1, 4)
+    # the listing's one limit is the range: it answers (2, 1, 31), two
+    # labels on each of its 16 partitions
+    assert len(enumerate_W1(2, 1, 31)) == 32
+    for d, M in [(2, 65), (9, 4)]:
+        with pytest.raises(DimensionGuardError, match=r"^range exceeded \(M <= 64, d <= 8\)$"):
+            enumerate_W1(d, 1, M)
+
+
+def test_partitions_match_recursive_oracle():
+    # both maximizers walk _partitions, so only an independent walk can
+    # catch an order bug in it
+    for d in range(2, 9):
+        for M in range(0, 31):
+            assert list(omega_opt._partitions(M, d)) == list(recursive_partitions(M, d)), (d, M)
+    assert sum(1 for _ in omega_opt._partitions(64, 8)) == 116263
 
 
 def listed_domain(d, N, M):
@@ -168,17 +184,15 @@ def test_partition_maximizer_matches_listed_block():
 
 
 # d = 2..8, N up to M + 2, the sizes `omega max` runs in the benchmark,
-# and sizes past the listing guard M <= 30 whose domain is cheap to list
+# and sizes past M = 30 whose domain is cheap to list
 EXACT_GRID = [(d, N, M) for d in range(2, 9) for M in range(1, 13) for N in range(1, M + 3)]
 EXACT_GRID += [(3, 2, 10), (4, 3, 12), (5, 2, 14), (7, 8, 22), (8, 10, 30)]
-EXACT_GRID += [(2, 5, 40), (3, 4, 35), (2, 1, 64), (3, 2, 50)]
+EXACT_GRID += [(2, 1, 31), (2, 5, 40), (3, 4, 35), (2, 1, 64), (3, 2, 50)]
 
 
-def test_exact_report_equals_brute(monkeypatch):
+def test_exact_report_equals_brute():
     # every field: omega, gamma, delta_one, maximizers in order,
-    # count_enumerated; maximize_exact has no M <= 30 guard, so the
-    # listing's is lifted here alone
-    monkeypatch.setattr(omega_opt, "check_enumeration_guard", lambda d, M: None)
+    # count_enumerated
     for d, N, M in EXACT_GRID:
         assert omega_opt.maximize_exact(d, N, M) == maximize_brute(d, N, M), (d, N, M)
 
@@ -201,27 +215,23 @@ def test_exact_keeps_tied_maximizers_in_enumeration_order(monkeypatch):
 
 
 @pytest.mark.parametrize("d,N,M", [(2, 0, 3), (2, 3, 0), (1, 1, 2), (0, 0, 0), (1, 2, 40),
-                                   (1, 2, 65), (9, 1, 4), (2, 1, 31), (9, 1, 31), (2, 1, 65)])
+                                   (1, 2, 65), (9, 1, 4), (2, 0, 65), (9, 1, 31), (2, 1, 65)])
 def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
-    # the ValueErrors are brute's, in its order.  Of brute's listing guard
-    # (M <= 30, d <= 8) exact keeps d <= 8, with M <= 64 in place of
-    # M <= 30: it answers (2, 1, 31) and refuses the rest before any walk
+    # brute and exact share their checks: the same error, type and
+    # message, on every row, before any walk; a row past the range is
+    # refused with the range message
     def refuse(M, d):
         raise AssertionError("enumerated past the guard")
 
     monkeypatch.setattr(omega_opt, "_partitions", refuse)
     with pytest.raises((ValueError, DimensionGuardError)) as brute:
         maximize_brute(d, N, M)
-    if brute.type is DimensionGuardError and d <= MAX_D and M <= MAX_SITES:
-        monkeypatch.undo()
-        assert omega_opt.maximize_exact(d, N, M).maximizers == (top_point(d, N, M),)
-        return
-    with pytest.raises(brute.type) as exact:
+    with pytest.raises((ValueError, DimensionGuardError)) as exact:
         omega_opt.maximize_exact(d, N, M)
-    if brute.type is ValueError:
-        assert str(exact.value) == str(brute.value)
-    else:
-        assert str(exact.value) == "range exceeded (M <= 64, d <= 8)"
+    assert (exact.type, str(exact.value)) == (brute.type, str(brute.value))
+    if brute.type is DimensionGuardError:
+        assert d > MAX_D or M > MAX_SITES
+        assert str(brute.value) == "range exceeded (M <= 64, d <= 8)"
 
 
 def test_random_feasible_point_indexes_the_enumeration():
@@ -238,7 +248,7 @@ def test_brute_guard_refuses_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(omega_opt, "_partitions", refuse)
     with pytest.raises(DimensionGuardError):
-        maximize_brute(2, 1, 31)
+        maximize_brute(2, 1, 65)
     with pytest.raises(DimensionGuardError):
         maximize_brute(9, 1, 4)
 

@@ -1,7 +1,8 @@
 """Dead-code checks on the package source: no unread import, no
 unreferenced private module-level function or class, no unreferenced
-method, no exported name that only its own module reads, and no
-unbounded cache."""
+method, no exported name that only its own module reads, no constant of
+cloneopt.tolerances that no other module reads, and no unbounded
+cache."""
 import ast
 from pathlib import Path
 
@@ -137,6 +138,24 @@ def test_every_export_is_read_outside_its_module():
         if not any(name in names for reader, names in reads.items() if reader != path)
     )
     assert not unread, f"exported names only their own module reads: {unread}"
+
+
+def test_every_tolerance_is_read_by_another_module():
+    # a limit that nothing enforces is dead code; __init__ only names the
+    # constants it re-exports, so it reads none of them
+    constants = set(assignments(ast.parse((PACKAGE / "tolerances.py").read_text())))
+    read = set()
+    for path in SOURCES:
+        if path.name in ("tolerances.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        read |= names_read(tree) | {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    assert constants, "tolerances defines no constant"
+    assert constants <= read, f"tolerances constants no other module reads: {sorted(constants - read)}"
 
 
 def unbounded_caches(tree):

@@ -95,7 +95,7 @@ def test_exact_commands_run_without_numpy():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    # omega max answers past the listing guard M <= 30, to M = 64
+    # omega max answers past M = 30, to M = 64
     assert rows[:-1] == [[None, False]] + [[0, False]] * len(EXACT_ARGVS)
     assert rows[-1] == [0, True]
 
