@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
-from .errors import ChannelPropertyError, DimensionGuardError
+from .errors import ChannelPropertyError, check_limit
 from .omega_opt import CandidatePoint, _check_spins
 from .tensor_core import (
     DensityOperator,
-    check_dense_guard,
     one_body_operator,
     product_power,
     single_site_marginal,
@@ -55,7 +54,8 @@ def kron_power(u: np.ndarray, n: int) -> np.ndarray:
     """u^{x n} on the full tensor space, the tests' dense oracle for
     symmetric_rep; raises DimensionGuardError when d^n exceeds the dense
     guard."""
-    check_dense_guard(u.shape[0], n)
+    check_limit(f"dense construction of dimension d^n = {u.shape[0]}^{n}", u.shape[0] ** n,
+                DEFAULT_DENSE_GUARD)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, u)
@@ -101,33 +101,22 @@ def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
 def check_choi_guard(channel: Channel) -> int:
     """Side in_dim * out_dim of the Choi matrix; raises DimensionGuardError
     above the dense guard."""
-    dim = channel.in_dim * channel.out_dim
-    if dim > DEFAULT_DENSE_GUARD:
-        raise DimensionGuardError(
-            f"Choi matrix of side in_dim * out_dim = {channel.in_dim} * "
-            f"{channel.out_dim} = {dim} exceeds guard {DEFAULT_DENSE_GUARD}"
-        )
-    return dim
+    in_dim, out_dim = channel.in_dim, channel.out_dim
+    return check_limit(f"Choi matrix of side in_dim * out_dim = {in_dim} * {out_dim}",
+                       in_dim * out_dim, DEFAULT_DENSE_GUARD)
 
 
-def choi_factor(channel: Channel) -> np.ndarray:
-    """X = [vec K_r], of shape (in_dim * out_dim, R), with choi = X X^*.
-
-    Column r is K_r^T flattened, indexed (input, output) like choi.  X
-    is the transposed view of C-contiguous rows (_write_choi_rows), so
-    X.T is the row layout _factor_eigvalsh takes."""
-    R = len(channel.kraus)
-    rows = np.empty((R, channel.in_dim * channel.out_dim), dtype=complex)
-    _write_choi_rows(channel.kraus, rows)
-    return rows.T
-
-
-def _write_choi_rows(kraus: np.ndarray, rows: np.ndarray) -> None:
-    """Write the columns of choi_factor of the stack kraus, (R, out_dim,
-    in_dim), as the R rows of the C-contiguous rows: row r is K_r^T
-    flattened."""
-    R, out_dim, in_dim = kraus.shape
-    rows.reshape(R, in_dim, out_dim)[...] = kraus.transpose(0, 2, 1)
+def choi_rows(channel: Channel, out: np.ndarray | None = None) -> np.ndarray:
+    """The Kraus factor X = [vec K_r] of choi = X X^*, as its R rows of
+    length in_dim * out_dim: row r is K_r^T flattened, indexed (input,
+    output) like choi.  The rows are C-contiguous, the layout
+    _factor_eigvalsh takes, and X is their transposed view.  Written into
+    `out`, a C-contiguous (R, in_dim * out_dim) buffer, when one is given."""
+    R, out_dim, in_dim = channel.kraus.shape
+    if out is None:
+        out = np.empty((R, in_dim * out_dim), dtype=complex)
+    out.reshape(R, in_dim, out_dim)[...] = channel.kraus.transpose(0, 2, 1)
+    return out
 
 
 def choi(channel: Channel) -> np.ndarray:
@@ -139,8 +128,8 @@ def choi(channel: Channel) -> np.ndarray:
     DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
     check_choi_guard(channel)
-    X = choi_factor(channel)
-    return X @ X.conj().T
+    rows = choi_rows(channel)
+    return rows.T @ rows.conj()
 
 
 def min_choi_eigenvalue(channel: Channel) -> float:
@@ -148,44 +137,47 @@ def min_choi_eigenvalue(channel: Channel) -> float:
     least eigenvalue _factor_eigvalsh gives, or 0 where R < side leaves
     the Choi matrix a kernel and that eigenvalue is positive."""
     side = check_choi_guard(channel)
-    least = float(_factor_eigvalsh(choi_factor(channel).T)[0])
+    least = float(_factor_eigvalsh(choi_rows(channel))[0])
     return min(least, 0.0) if len(channel.kraus) < side else least
 
 
 def _rotations(channel: Channel, samples: int, seed: int):
-    """Yields the rotated channels tau_u(T) for `samples` Haar unitaries u
-    drawn, in order, from default_rng(seed)."""
+    """The rotated channels tau_u(T), lazily, for `samples` Haar unitaries
+    u drawn, in order, from default_rng(seed).  Raises ValueError for
+    samples < 1 at the call, before the caller allocates anything."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        yield conjugate_channel(channel, haar_unitary(channel.d, rng))
+    return (conjugate_channel(channel, haar_unitary(channel.d, rng)) for _ in range(samples))
 
 
 def twirl_choi(channel: Channel, samples: int = 200, seed: int = 0) -> np.ndarray:
-    """Monte-Carlo Haar average of the Choi matrices X X^* (X = choi_factor)
+    """Monte-Carlo Haar average of the Choi matrices X X^* (X^T = choi_rows)
     of tau_u(T) over `samples` seeded unitaries.  Raises ValueError for
     samples < 1 and DimensionGuardError above the dense guard."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    rotations = _rotations(channel, samples, seed)
     acc = np.zeros((check_choi_guard(channel),) * 2, dtype=complex)
-    for rotated in _rotations(channel, samples, seed):
-        X = choi_factor(rotated)
-        acc += X @ X.conj().T
+    for rotated in rotations:
+        rows = choi_rows(rotated)
+        acc += rows.T @ rows.conj()
     return acc / samples
 
 
 def covariance_defect(channel: Channel, samples: int = 50, seed: int = 0) -> float:
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
     Haar unitaries; zero (to tolerance) iff T is covariant.  The spectra
-    come from the Kraus factors [X_u X_0] (choi_factor's columns, written
-    as the rows of one buffer that every sample reuses, X_0 once); raises
-    DimensionGuardError when in_dim * out_dim exceeds the dense guard."""
+    come from the Kraus factors [X_u X_0] (choi_rows, written into one
+    buffer that every sample reuses, X_0 once).  Raises ValueError for
+    samples < 1 and DimensionGuardError when in_dim * out_dim exceeds the
+    dense guard."""
+    rotations = _rotations(channel, samples, seed)
     side = check_choi_guard(channel)
     R = len(channel.kraus)
     rows = np.empty((2 * R, side), dtype=complex)
-    _write_choi_rows(channel.kraus, rows[R:])
+    choi_rows(channel, rows[R:])
     worst = 0.0
-    for rotated in _rotations(channel, samples, seed):
-        _write_choi_rows(rotated.kraus, rows[:R])
+    for rotated in rotations:
+        choi_rows(rotated, rows[:R])
         vals = _factor_eigvalsh(rows, negative=R)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
@@ -285,11 +277,8 @@ def su2_coupling_isometry(
     """
     alpha, beta, gamma = _check_spins(alpha, beta, gamma)
     da, db, two_gamma = int(2 * alpha) + 1, int(2 * beta) + 1, int(2 * gamma)
-    if da * db > DEFAULT_DENSE_GUARD:
-        raise DimensionGuardError(
-            f"coupled spin space of side (2 alpha + 1)(2 beta + 1) = {da} * {db} "
-            f"exceeds guard {DEFAULT_DENSE_GUARD}"
-        )
+    check_limit(f"coupled spin space of side (2 alpha + 1)(2 beta + 1) = {da} * {db}",
+                da * db, DEFAULT_DENSE_GUARD)
     # J_- in the basis |j, j>, ..., |j, -j>: the occupation basis of 2j
     # qubits, with one spin moved from up (mode 0) to down (mode 1)
     lower_a, lower_b = (one_body_operator([[0, 0], [1, 0]], 2, int(2 * j)) for j in (alpha, beta))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionGuardError
+from .errors import check_limit
 from .omega_opt import delta_one_from_gamma
 from .tensor_core import (
     DensityOperator,
@@ -154,12 +154,8 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     d, N, M = spec.d, spec.n_in, spec.m_out
     dim_n, dim_m = sym_dimension(d, N), sym_dimension(d, M)
     count = sym_dimension(d, M - N)
-    entries = count * dim_m * dim_n
-    if entries > KRAUS_ENTRY_GUARD:
-        raise DimensionGuardError(
-            f"optimal cloner for (d, N, M) = ({d}, {N}, {M}) needs {entries} "
-            f"Kraus entries, above the guard {KRAUS_ENTRY_GUARD}"
-        )
+    check_limit(f"optimal cloner Kraus entries R * out_dim * in_dim = "
+                f"{count} * {dim_m} * {dim_n}", count * dim_m * dim_n, KRAUS_ENTRY_GUARD)
     occ_n, occ_c = _table(d, N).occ, _table(d, M - N).occ
     # operator c maps input n to the output occupation m = n + c
     m = occ_c[:, None] + occ_n[None]
@@ -319,9 +315,10 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     _CHUNK_BYTES), so no values() call of a run holds more states than a
     chunk and its five chains.  Only the five best, which refinement
     never scores below, outlive a chunk, so memory does not grow with
-    samples.  values maps amplitudes (B, d) to B values."""
-    if samples <= 0:
-        return 0.0
+    samples.  values maps amplitudes (B, d) to B values.  Raises
+    ValueError for samples < 1, before anything is drawn."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     d, chunk_size = channel.d, _chunk_size(channel)
     draws, *chains = np.random.SeedSequence(seed).spawn(6)
     rng = np.random.default_rng(draws)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and check_limit, the one
+place that raises DimensionGuardError."""
 
 
 class CloneOptError(Exception):
@@ -13,3 +14,14 @@ class DimensionGuardError(CloneOptError):
 class ChannelPropertyError(CloneOptError):
     """A channel fails a structural property (trace preservation, covariance,
     permutation invariance) beyond the stated tolerance."""
+
+
+def check_limit(what: str, size: int, limit: int) -> int:
+    """Return size if size <= limit; otherwise refuse with a
+    DimensionGuardError "<what> = <size> exceeds guard <limit>".  Every
+    size refusal goes through here, before the work it bounds allocates
+    anything; `what` names the size and, where it is a product, its
+    factors."""
+    if size > limit:
+        raise DimensionGuardError(f"{what} = {size} exceeds guard {limit}")
+    return size

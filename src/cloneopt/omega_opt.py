@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionGuardError
+from .errors import check_limit
 from .rep_theory import check_dominant, is_dominant, pieri_count
 from .tolerances import MAX_D, MAX_SITES
 
@@ -154,8 +154,8 @@ def _check_labels(d: int, N: int, M: int) -> None:
     """The label domain's one range check, shared by both maximizers."""
     if d < 2 or N < 0 or M < 0:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
-    if M > MAX_SITES or d > MAX_D:
-        raise DimensionGuardError(f"range exceeded (M <= {MAX_SITES}, d <= {MAX_D})")
+    check_limit("M", M, MAX_SITES)
+    check_limit("d", d, MAX_D)
 
 
 def _label_blocks(d: int, N: int, M: int):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
 
-from .errors import DimensionGuardError
+from .errors import check_limit
 from .tolerances import BRANCH_SUMMAND_GUARD
 
 __all__ = [
@@ -99,12 +99,8 @@ def pieri_branch(N: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:
     DimensionGuardError, before listing any, when there are more than
     BRANCH_SUMMAND_GUARD.
     """
-    count = pieri_count(N, m)
-    if count > BRANCH_SUMMAND_GUARD:
-        raise DimensionGuardError(
-            f"Pieri branching of {N} boxes onto {tuple(m)} has {count} summands, "
-            f"above the guard {BRANCH_SUMMAND_GUARD}"
-        )
+    check_limit(f"Pieri summands of {N} boxes on {tuple(m)}", pieri_count(N, m),
+                BRANCH_SUMMAND_GUARD)
     m = check_dominant(m)
     d = len(m)
     caps = [N] + [m[k - 1] - m[k] for k in range(1, d)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionGuardError
+from .errors import check_limit
 from .tolerances import DEFAULT_DENSE_GUARD, STATE_TOL
 
 SYMMETRIC_BASIS = "symmetric-occupation"
@@ -27,7 +27,6 @@ __all__ = [
     "DensityOperator",
     "sym_dimension",
     "occupation_basis",
-    "check_dense_guard",
     "sym_embed",
     "product_power",
     "single_site_marginal",
@@ -122,15 +121,6 @@ def occupation_basis(d: int, N: int) -> list[tuple[int, ...]]:
     return list(_table(d, N).basis)
 
 
-def check_dense_guard(d: int, M: int) -> None:
-    """Raise DimensionGuardError if d**M exceeds the dense guard."""
-    if d**M > DEFAULT_DENSE_GUARD:
-        raise DimensionGuardError(
-            f"dense construction of size d^M = {d}^{M} exceeds guard "
-            f"{DEFAULT_DENSE_GUARD}; use the symmetric-basis fast path instead"
-        )
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized vector in C^d."""
@@ -184,7 +174,7 @@ def sym_embed(d: int, N: int) -> np.ndarray:
     sqrt(prod n_i! / N!) on each distinct ordering.  Raises
     DimensionGuardError when d^N exceeds the dense guard.
     """
-    check_dense_guard(d, N)
+    check_limit(f"dense construction of dimension d^N = {d}^{N}", d**N, DEFAULT_DENSE_GUARD)
     basis = _table(d, N).basis
     # row r is the word whose letters are the base-d digits of r
     words = np.indices((d,) * N).reshape(N, d**N).T

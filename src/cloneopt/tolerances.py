@@ -5,8 +5,8 @@ covariance) are checked at STRUCTURAL_TOL; state normalization at
 STATE_TOL.  The range (MAX_D, MAX_SITES) is the one every command
 accepts: d <= MAX_D levels and N, M <= MAX_SITES sites; maximize_exact
 and the label listing it is checked against answer all of it and refuse
-past it, with no other limit.  The dense guard bounds three
-sizes: the dimension d**M of a full tensor-product object (sym_embed,
+past it (M first, then d), with no other limit.  The dense guard bounds
+three sizes: the dimension d**M of a full tensor-product object (sym_embed,
 kron_power: the tests' dense oracles), the side in_dim * out_dim of a
 Choi matrix, and the side (2 alpha + 1)(2 beta + 1) of the coupled spin
 space of a qubit component cloner.  Occupation-basis paths, including
@@ -14,8 +14,9 @@ the conjugation by Sym^N(u) in covariance_defect and twirl_choi, build
 no d**M object and answer past the first.  The Kraus entry guard
 bounds the entries of the optimal cloner's Kraus operators.
 The branch guard bounds the summands pieri_branch lists.  Each limit
-is a fixed constant, read where it is enforced: no function or command
-takes another value.
+is a fixed constant, read where errors.check_limit enforces it: no
+function or command takes another value, and every refusal reads
+"<what> = <size> exceeds guard <limit>".
 """
 
 STRUCTURAL_TOL = 1e-10

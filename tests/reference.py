@@ -10,9 +10,11 @@ from fractions import Fraction
 import numpy as np
 
 from cloneopt.cloner import Channel, ClonerSpec
+from cloneopt.errors import check_limit
 from cloneopt.omega_opt import CandidatePoint, _label_blocks
 from cloneopt.rep_theory import check_dominant, is_dominant, pieri_branch
-from cloneopt.tensor_core import _table, check_dense_guard, sym_dimension, sym_embed
+from cloneopt.tensor_core import _table, sym_dimension, sym_embed
+from cloneopt.tolerances import DEFAULT_DENSE_GUARD
 
 
 # --- highest weights -------------------------------------------------------
@@ -103,7 +105,7 @@ def spin_embedding(alpha: Fraction, M: int) -> np.ndarray:
         raise ValueError(
             f"spin {alpha} does not embed into {M} qubits (parity/size mismatch)"
         )
-    check_dense_guard(2, M)
+    check_limit(f"dense construction of dimension 2^M = 2^{M}", 2**M, DEFAULT_DENSE_GUARD)
     singlets = np.ones(1, dtype=complex)
     for _ in range((M - two_alpha) // 2):
         singlets = np.kron(singlets, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
@@ -114,7 +116,7 @@ def dense_cloner_output(spec: ClonerSpec, rho_sym: np.ndarray) -> np.ndarray:
     """Oracle: (d[N]/d[M]) S_M (rho x 1) S_M, compressed back to the
     occupation basis of the output.  Requires d**M within the dense guard."""
     d, N, M = spec.d, spec.n_in, spec.m_out
-    check_dense_guard(d, M)
+    check_limit(f"dense construction of dimension d^M = {d}^{M}", d**M, DEFAULT_DENSE_GUARD)
     E_n = sym_embed(d, N)
     E_m = sym_embed(d, M)
     S_m = E_m @ E_m.conj().T

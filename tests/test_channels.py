@@ -34,7 +34,7 @@ from cloneopt import (
 )
 from cloneopt.channels import (
     _factor_eigvalsh,
-    choi_factor,
+    choi_rows,
     conjugate_channel,
     haar_unitary,
     kron_power,
@@ -106,6 +106,31 @@ def test_twirl_single_sample_is_one_rotation():
 def test_twirl_choi_needs_a_sample():
     with pytest.raises(ValueError):
         twirl_choi(optimal_cloner(ClonerSpec(2, 1, 2)), samples=0)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("estimate", [twirl_choi, covariance_defect, delta_one_numeric,
+                                      delta_all_numeric], ids=lambda f: f.__name__)
+def test_estimators_need_a_sample(estimate, samples, monkeypatch):
+    # a run with no draw is refused, not scored 0.0 (the 5-sample defect
+    # of this channel is 0.99); the suprema refuse before their first draw
+    def refuse(channel):
+        raise AssertionError("drew past the samples check")
+
+    monkeypatch.setattr(cloner, "_chunk_size", refuse)
+    subject = constant_output_channel(2, 1, 2)
+    if estimate is delta_all_numeric:
+        subject = ClonerSpec(2, 1, 2)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        estimate(subject, samples=samples)
+
+
+@pytest.mark.parametrize("estimate", [twirl_choi, covariance_defect])
+def test_choi_estimators_check_samples_before_the_choi_guard(estimate):
+    # Choi side 153 * 171 = 26163: the samples check comes first, so no
+    # buffer of that side is sized either
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        estimate(optimal_cloner(ClonerSpec(3, 16, 17)), samples=0)
 
 
 def test_twirl_washes_out_direction():
@@ -232,7 +257,9 @@ def test_component_cloner_refuses_large_m_before_building():
     assert su2_component_cloner(CandidatePoint((13, 0), (1, 0))).out_dim == 14
     # the coupled side (2 alpha + 1)(2 beta + 1) is 65 * 64, above the guard
     start = time.perf_counter()
-    with pytest.raises(DimensionGuardError, match="65 \\* 64 exceeds guard 4096"):
+    with pytest.raises(DimensionGuardError, match=(
+            r"^coupled spin space of side \(2 alpha \+ 1\)\(2 beta \+ 1\) = 65 \* 64 = 4160 "
+            r"exceeds guard 4096$")):
         su2_component_cloner(CandidatePoint((64, 0), (1, 0)))
     assert time.perf_counter() - start < 1.0
 
@@ -605,15 +632,10 @@ def factor_test_channels():
     ]
 
 
-def choi_rows(channel):
-    """The columns of choi_factor as the rows _factor_eigvalsh takes."""
-    return choi_factor(channel).T
-
-
 @pytest.mark.parametrize("channel", factor_test_channels())
 def test_factor_spectra_match_dense_eigvalsh(channel, monkeypatch):
     C0 = choi(channel)
-    assert np.allclose(choi_factor(channel) @ choi_factor(channel).conj().T, C0, atol=1e-14)
+    assert np.allclose(choi_rows(channel).T @ choi_rows(channel).conj(), C0, atol=1e-14)
     dense = np.linalg.eigvalsh(C0)
     assert np.max(np.abs(padded_to_side(_factor_eigvalsh(choi_rows(channel)), len(C0)) - dense)) < 1e-12
     assert abs(min_choi_eigenvalue(channel) - dense[0]) < 1e-12
@@ -673,7 +695,8 @@ def padded_factor_eigvalsh(X, Y=None):
 
 
 def copied_choi_factor(channel):
-    """Oracle input: choi_factor as it was, a C-contiguous copy."""
+    """Oracle input: the factor X of choi = X X^*, (side, R), as a
+    C-contiguous copy."""
     return channel.kraus.transpose(2, 1, 0).reshape(-1, len(channel.kraus))
 
 

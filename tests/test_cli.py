@@ -372,8 +372,8 @@ def test_verify_refuses_before_any_check():
     proc = run_child("-m", "cloneopt.cli", "verify", "all", "--d", 3, "--n", 1, "--m", 34)
     assert proc.returncode == 3
     assert proc.stderr == (
-        "error: optimal cloner for (d, N, M) = (3, 1, 34) needs 1124550 Kraus entries, "
-        "above the guard 1048576\n"
+        "error: optimal cloner Kraus entries R * out_dim * in_dim = 595 * 630 * 3 = 1124550 "
+        "exceeds guard 1048576\n"
     )
 
 

@@ -86,8 +86,9 @@ def test_enumeration_guard():
     # the listing's one limit is the range: it answers (2, 1, 31), two
     # labels on each of its 16 partitions
     assert len(enumerate_W1(2, 1, 31)) == 32
-    for d, M in [(2, 65), (9, 4)]:
-        with pytest.raises(DimensionGuardError, match=r"^range exceeded \(M <= 64, d <= 8\)$"):
+    for d, M, message in [(2, 65, r"^M = 65 exceeds guard 64$"),
+                          (9, 4, r"^d = 9 exceeds guard 8$")]:
+        with pytest.raises(DimensionGuardError, match=message):
             enumerate_W1(d, 1, M)
 
 
@@ -219,7 +220,7 @@ def test_exact_keeps_tied_maximizers_in_enumeration_order(monkeypatch):
 def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
     # brute and exact share their checks: the same error, type and
     # message, on every row, before any walk; a row past the range is
-    # refused with the range message
+    # refused with the message of its first size past the range, M before d
     def refuse(M, d):
         raise AssertionError("enumerated past the guard")
 
@@ -231,7 +232,8 @@ def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
     assert (exact.type, str(exact.value)) == (brute.type, str(brute.value))
     if brute.type is DimensionGuardError:
         assert d > MAX_D or M > MAX_SITES
-        assert str(brute.value) == "range exceeded (M <= 64, d <= 8)"
+        expected = f"M = {M} exceeds guard 64" if M > MAX_SITES else f"d = {d} exceeds guard 8"
+        assert str(brute.value) == expected
 
 
 def test_random_feasible_point_indexes_the_enumeration():

@@ -1,8 +1,8 @@
 """Dead-code checks on the package source: no unread import, no
 unreferenced private module-level function or class, no unreferenced
 method, no exported name that only its own module reads, no constant of
-cloneopt.tolerances that no other module reads, and no unbounded
-cache."""
+cloneopt.tolerances that no other module reads, no unbounded cache, and
+no DimensionGuardError raised outside errors.check_limit."""
 import ast
 from pathlib import Path
 
@@ -193,3 +193,37 @@ def test_no_unbounded_cache():
     ]
     assert all(unbounded_caches(ast.parse(s)) for s in samples)
     assert not unbounded_caches(ast.parse("@lru_cache(maxsize=64)\ndef f(): pass"))
+
+
+def guard_raises(tree):
+    """Lines that raise DimensionGuardError themselves, called or bare."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "DimensionGuardError":
+                found.append(node.lineno)
+    return found
+
+
+def test_only_check_limit_raises_a_guard():
+    # every size refusal goes through errors.check_limit, so each one has
+    # the message shape "<what> = <size> exceeds guard <limit>"
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "errors.py"
+        for line in guard_raises(ast.parse(path.read_text()))
+    ]
+    assert not found, f"DimensionGuardError raised outside check_limit: {found}"
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    check = next(node for node in errors.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_limit")
+    assert len(guard_raises(errors)) == len(guard_raises(check)) == 1
+    samples = [
+        'raise DimensionGuardError(f"side {side} above {limit}")',
+        "raise errors.DimensionGuardError('too large') from exc",
+        "raise DimensionGuardError",
+    ]
+    assert all(guard_raises(ast.parse(s)) for s in samples)
+    assert not guard_raises(ast.parse("check_limit('side', side, limit)\nraise ValueError('x')"))

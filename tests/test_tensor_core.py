@@ -17,7 +17,7 @@ from cloneopt import (
     sym_dimension,
     sym_embed,
 )
-from cloneopt.tensor_core import _product_powers, _table, check_dense_guard
+from cloneopt.tensor_core import _product_powers, _table
 
 from reference import occupation_index, symmetrizer, transposed_full_marginal
 
@@ -130,9 +130,10 @@ def test_sym_embed_column_amplitudes():
 
 
 def test_dense_guard():
-    check_dense_guard(2, 12)  # 4096 exactly, allowed
-    with pytest.raises(DimensionGuardError):
-        check_dense_guard(2, 13)
+    assert sym_embed(2, 12).shape == (4096, 13)  # 4096 exactly, allowed
+    with pytest.raises(DimensionGuardError, match=(
+            r"^dense construction of dimension d\^N = 2\^13 = 8192 exceeds guard 4096$")):
+        sym_embed(2, 13)
 
 
 def test_pure_state_normalization_enforced():
