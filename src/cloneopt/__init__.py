@@ -29,7 +29,6 @@ _EXPORTS = {
     "one_body_operator": "tensor_core",
     "product_power": "tensor_core",
     "single_site_marginal": "tensor_core",
-    "sym_dimension": "tensor_core",
     "sym_embed": "tensor_core",
     "adjoint_multiplicity": "rep_theory",
     "casimirs": "rep_theory",
@@ -37,6 +36,7 @@ _EXPORTS = {
     "parse_weight": "rep_theory",
     "pieri_branch": "rep_theory",
     "weyl_dimension": "rep_theory",
+    "sym_dimension": "rep_theory",
     "Channel": "cloner",
     "ClonerSpec": "cloner",
     "all_clone_overlap": "cloner",

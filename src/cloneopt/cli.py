@@ -6,8 +6,8 @@ failure, 2 usage error, 3 dimension-guard violation.  Identical argv and
 seed give byte-identical output.
 
 A process loads what its command uses: numpy, tensor_core, cloner and
-channels are imported by the handlers that need them, so the exact
-commands (omega max|point|su2, rep *) run without numpy, and run()
+channels are imported by the handlers that need them, so dims and the
+exact commands (omega max|point|su2, rep *) run without numpy, and run()
 builds the parser of the one command its argv names.
 """
 from __future__ import annotations
@@ -137,9 +137,7 @@ def _render(obj, fmt: str) -> str:
 
 
 def _cmd_dims(args):
-    from . import tensor_core as tc
-
-    return {"d": args.d, "n": args.n, "sym_dimension": tc.sym_dimension(args.d, args.n)}
+    return {"d": args.d, "n": args.n, "sym_dimension": rt.sym_dimension(args.d, args.n)}
 
 
 def _cloner_spec(args):
@@ -157,12 +155,11 @@ def _cloner(args):
 
 def _cmd_cloner_constants(args):
     from . import cloner as cl
-    from . import tensor_core as tc
 
     spec = _cloner_spec(args)
     gamma = cl.shrinking_factor(spec)
     overlap = Fraction(
-        tc.sym_dimension(args.d, args.n), tc.sym_dimension(args.d, args.m)
+        rt.sym_dimension(args.d, args.n), rt.sym_dimension(args.d, args.m)
     )
     return {
         "gamma": se.fraction_pair(gamma),
@@ -197,12 +194,11 @@ def _cmd_cloner_marginal(args):
 
 def _cmd_cloner_overlap(args):
     from . import cloner as cl
-    from . import tensor_core as tc
 
     return {
         "overlap": cl.all_clone_overlap(_cloner_spec(args), _input_state(args)),
         "expected": se.fraction_pair(
-            Fraction(tc.sym_dimension(args.d, args.n), tc.sym_dimension(args.d, args.m))
+            Fraction(rt.sym_dimension(args.d, args.n), rt.sym_dimension(args.d, args.m))
         ),
     }
 
@@ -337,7 +333,7 @@ def _cmd_verify_all(args):
     ch.check_choi_guard(channel)
 
     gamma = float(cl.shrinking_factor(spec))
-    target = tc.sym_dimension(d, N) / tc.sym_dimension(d, M)
+    target = rt.sym_dimension(d, N) / rt.sym_dimension(d, M)
     for k in range(20):
         psi = tc.haar_state(d, seed=args.seed + k)
         marg = cl.single_clone_marginal(channel, psi)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import check_limit
 from .omega_opt import delta_one_from_gamma
+from .rep_theory import sym_dimension
 from .tensor_core import (
     DensityOperator,
     PureState,
@@ -24,7 +25,6 @@ from .tensor_core import (
     _table,
     product_power,
     single_site_marginal,
-    sym_dimension,
 )
 from .tolerances import KRAUS_ENTRY_GUARD
 
@@ -223,18 +223,18 @@ def _factor_eigvalsh(rows: np.ndarray, negative: int = 0) -> np.ndarray:
     return np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
 
 
-# Sampled states scored per values() call: at least _CHUNK, raised up to
-# _CHUNK_MAX while a chunk's stacked Kraus images and output states,
-# 16 * out_dim * (R + out_dim) bytes per state, fit in _CHUNK_BYTES.
-# Small channels then spread the fixed numpy costs of a call over more
-# states; channels whose _CHUNK states already exceed the budget keep
-# _CHUNK, so no channel makes more calls than at a fixed 16, and none
-# holds more per call than the larger of 16 states and _CHUNK_BYTES.
+# Sampled states scored per values() call: as many as fit in _CHUNK_BYTES,
+# counting a chunk's stacked Kraus images and output states,
+# 16 * out_dim * (R + out_dim) bytes per state, and never fewer than
+# _CHUNK.  A small channel then scores a run of up to a few thousand
+# states in one call and pays the fixed numpy costs of a call once;
+# channels whose _CHUNK states already exceed the budget keep _CHUNK,
+# so no channel makes more calls than at a fixed 16, and none holds
+# more per call than the larger of 16 states and _CHUNK_BYTES.
 # The count, 16 bytes a complex entry, over-states delta_all's rows,
 # which are real (8 bytes) and hold no output state.  Only chunk sizes
 # depend on it, never values, so one rule serves both samplers.
 _CHUNK = 16
-_CHUNK_MAX = 64
 _CHUNK_BYTES = 2**20
 
 
@@ -245,7 +245,7 @@ def _states_in_budget(channel: Channel) -> int:
 
 def _chunk_size(channel: Channel) -> int:
     """States the sampler scores per values() call for this channel."""
-    return max(_CHUNK, min(_CHUNK_MAX, _states_in_budget(channel)))
+    return max(_CHUNK, _states_in_budget(channel))
 
 
 def refine_supremum(
@@ -311,12 +311,14 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     any longer run.  The other five seed the refinement chains of the
     five best states (ties in sample order), one child per rank; their
     scores go along, and refinement scores the chains' steps ahead in
-    calls of at most max(chunk, 5) states (fewer where a chunk exceeds
-    _CHUNK_BYTES), so no values() call of a run holds more states than a
-    chunk and its five chains.  Only the five best, which refinement
-    never scores below, outlive a chunk, so memory does not grow with
-    samples.  values maps amplitudes (B, d) to B values.  Raises
-    ValueError for samples < 1, before anything is drawn."""
+    calls of at most as many states as fit in _CHUNK_BYTES, or 5 in
+    lockstep, so no values() call of a run holds more states than a
+    chunk and its five chains.  A small channel's chunk holds every
+    state a run of a few thousand samples draws, so such a run makes one
+    draw call and a refinement call or two.  Only the five best, which
+    refinement never scores below, outlive a chunk, so memory does not
+    grow with samples.  values maps amplitudes (B, d) to B values.
+    Raises ValueError for samples < 1, before anything is drawn."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d, chunk_size = channel.d, _chunk_size(channel)
@@ -339,8 +341,8 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     # are paged in afresh on every call: at (3, 1, 20), 15-state calls
     # took 16 times the page faults of 5-state ones and 15% more time per
     # state, so such channels refine in lockstep, 5 states per call.
-    batch = min(chunk_size, _states_in_budget(channel))
-    refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)], batch=batch)
+    refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)],
+                              batch=_states_in_budget(channel))
     return float(max(0.0, refined.max()))
 
 
@@ -376,7 +378,7 @@ def delta_all_numeric(
     candidates are still refined locally.  Few refinement steps are then
     accepted (round-off decides them), so scoring each chain's steps
     ahead makes refinement a few values() calls rather than one per step,
-    e.g. 2 instead of 20 at a 64-state chunk.  Seeded as _sampled_supremum
+    e.g. 1 or 2 instead of 20 on a small channel.  Seeded as _sampled_supremum
     describes: one SeedSequence(seed) per call, so the value does not
     depend on the Python version or on the chunk size, and the states of
     a run are the first of any longer run.

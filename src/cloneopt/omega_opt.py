@@ -13,7 +13,7 @@ cloner.  All values are exact rationals.
 maximize_exact finds the maximum without listing labels: at fixed m,
 F2 has one maximizer, found in O(d), and the labels of m are counted,
 not listed.  maximize_brute lists every label (enumerate_W1's walk) and
-stays as its oracle.  Both answer every d <= 8, M <= 64.
+stays as its oracle.  Both answer every d <= 8, N, M <= 64.
 """
 from __future__ import annotations
 
@@ -156,6 +156,7 @@ def _check_labels(d: int, N: int, M: int) -> None:
         raise ValueError("need d >= 2, N >= 0, M >= 0")
     check_limit("M", M, MAX_SITES)
     check_limit("d", d, MAX_D)
+    check_limit("N", N, MAX_SITES)
 
 
 def _label_blocks(d: int, N: int, M: int):
@@ -164,17 +165,37 @@ def _label_blocks(d: int, N: int, M: int):
     row per label, the mu_head of the box grid in itertools.product order
     followed by mu_last = N - sum(mu_head) >= 0.  The range is checked
     first; then time and memory grow with the label count, which
-    maximize_exact(d, N, M).count_enumerated gives without listing."""
+    maximize_exact(d, N, M).count_enumerated gives without listing: no
+    row with sum(mu_head) > N is built."""
     import numpy as np
 
     _check_labels(d, N, M)
     for m in _partitions(M, d):
-        # a slot above N forces mu_last < 0, so the grid stops there
-        sides = [min(m[k] - m[k + 1], N) + 1 for k in range(d - 1)]
-        head = np.indices(sides, dtype=np.int64).reshape(d - 1, -1).T
-        last = N - head.sum(axis=1)
-        keep = last >= 0
-        yield m, np.column_stack([head[keep], last[keep]])
+        sides = [min(m[k] - m[k + 1], N) for k in range(d - 1)]
+        if sum(sides) <= N:  # no row of the box grid passes N
+            head = np.indices([s + 1 for s in sides], dtype=np.int64).reshape(d - 1, -1).T
+            yield m, np.column_stack([head, N - head.sum(axis=1)])
+            continue
+        # extend the rows slot by slot, each by the values that keep its
+        # sum <= N; left[i] is N - sum(row i), and each step keeps, per
+        # kept row, its parent row and its value in that slot
+        left = np.array([N], dtype=np.int64)
+        steps = []
+        for k, side in enumerate(sides):
+            if side:
+                rest = left[:, None] - np.arange(side + 1)
+                keep = rest >= 0
+                parent, value = np.nonzero(keep)
+                left = rest[keep]
+                steps.append((k, parent, value))
+        # then follow each finished row back through its parents
+        block = np.zeros((len(left), d), dtype=np.int64)
+        block[:, -1] = left
+        rows = np.arange(len(left))
+        for k, parent, value in reversed(steps):
+            block[:, k] = value[rows]
+            rows = parent[rows]
+        yield m, block
 
 
 def enumerate_W1(d: int, N: int, M: int) -> list[CandidatePoint]:
@@ -250,7 +271,7 @@ def _best_mu(d: int, N: int, m: tuple[int, ...]) -> list[int]:
 
 def maximize_exact(d: int, N: int, M: int) -> OmegaReport:
     """maximize_brute's report, field for field, without listing labels,
-    over the whole range d <= MAX_D, M <= MAX_SITES.
+    over the whole range d <= MAX_D, N, M <= MAX_SITES.
 
     Partitions m are walked in _partitions order.  Each contributes its
     one maximizer (_best_mu) and its label count, the Pieri count of N

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import check_limit
 from .tolerances import BRANCH_SUMMAND_GUARD
@@ -17,6 +17,7 @@ __all__ = [
     "check_dominant",
     "casimirs",
     "weyl_dimension",
+    "sym_dimension",
     "pieri_branch",
     "fund_power_multiplicity",
     "adjoint_multiplicity",
@@ -67,6 +68,14 @@ def weyl_dimension(m: tuple[int, ...]) -> int:
     dim, rem = divmod(num, den)
     assert rem == 0
     return dim
+
+
+def sym_dimension(d: int, N: int) -> int:
+    """Dimension binom(d+N-1, N) of the symmetric subspace of (C^d)^{x N}:
+    the Weyl dimension of (N, 0, ..., 0), in closed form."""
+    if d < 2 or N < 0:
+        raise ValueError(f"need d >= 2 and N >= 0, got d={d}, N={N}")
+    return comb(d + N - 1, N)
 
 
 def pieri_count(N: int, m: tuple[int, ...]) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_limit
+from .rep_theory import sym_dimension
 from .tolerances import DEFAULT_DENSE_GUARD, STATE_TOL
 
 SYMMETRIC_BASIS = "symmetric-occupation"
@@ -25,7 +26,6 @@ __all__ = [
     "SYMMETRIC_BASIS",
     "PureState",
     "DensityOperator",
-    "sym_dimension",
     "occupation_basis",
     "sym_embed",
     "product_power",
@@ -33,13 +33,6 @@ __all__ = [
     "one_body_operator",
     "haar_state",
 ]
-
-
-def sym_dimension(d: int, N: int) -> int:
-    """Dimension binom(d+N-1, N) of the symmetric subspace of (C^d)^{x N}."""
-    if d < 2 or N < 0:
-        raise ValueError(f"need d >= 2 and N >= 0, got d={d}, N={N}")
-    return math.comb(d + N - 1, N)
 
 
 def _basis_dimension(d: int, sites: int, side: int) -> int | str:

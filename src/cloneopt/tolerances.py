@@ -5,7 +5,7 @@ covariance) are checked at STRUCTURAL_TOL; state normalization at
 STATE_TOL.  The range (MAX_D, MAX_SITES) is the one every command
 accepts: d <= MAX_D levels and N, M <= MAX_SITES sites; maximize_exact
 and the label listing it is checked against answer all of it and refuse
-past it (M first, then d), with no other limit.  The dense guard bounds
+past it (M first, then d, then N), with no other limit.  The dense guard bounds
 three sizes: the dimension d**M of a full tensor-product object (sym_embed,
 kron_power: the tests' dense oracles), the side in_dim * out_dim of a
 Choi matrix, and the side (2 alpha + 1)(2 beta + 1) of the coupled spin

@@ -510,18 +510,28 @@ def test_constant_channel_default_samples_pinned(d, seed, value):
 
 
 def test_sampled_value_does_not_depend_on_chunk(monkeypatch):
-    # not covariant: the value depends on every sampled state
+    # the constant channel is not covariant: its value depends on every
+    # sampled state; delta_all runs on the real-arithmetic path
     channel = constant_output_channel(3, 1, 2)
-    assert cloner._chunk_size(channel) == 64
-    got = []
-    # fixed chunk sizes, and the one the byte rule picks for this channel
-    for chunk in (1, 7, 16, 64):
-        asked = []
-        monkeypatch.setattr(cloner, "_chunk_size",
-                            lambda ch, chunk=chunk: asked.append(ch) or chunk)
-        got.append(delta_one_numeric(channel, samples=37, seed=5))
-        assert len(asked) == 1 and asked[0] is channel
-    assert got[0] == got[1] == got[2] == got[3]
+    spec = ClonerSpec(3, 2, 4)
+    runs = [(channel, lambda: delta_one_numeric(channel, samples=37, seed=5)),
+            (optimal_cloner(spec), lambda: delta_all_numeric(spec, samples=37, seed=5))]
+    for subject, run in runs:
+        budget = cloner._states_in_budget(subject)
+        assert cloner._chunk_size(subject) == budget > 64
+        got = []
+        # fixed chunk sizes, and the one the byte rule picks for this channel
+        for chunk in (1, 7, 16, 64, budget):
+            asked = []
+            monkeypatch.setattr(cloner, "_chunk_size",
+                                lambda ch, chunk=chunk: asked.append(ch) or chunk)
+            got.append(run())
+            # delta_one is handed the channel itself, delta_all its own copy
+            assert len(asked) == 1
+            assert (asked[0] is channel if subject is channel
+                    else np.array_equal(asked[0].kraus, subject.kraus))
+        monkeypatch.undo()
+        assert len({value.hex() for value in got}) == 1, got
 
 
 def test_sampled_states_are_a_prefix_of_longer_runs(monkeypatch):
@@ -560,19 +570,21 @@ def test_one_seed_sequence_per_sampler_run(monkeypatch):
 
 
 def test_sampler_memory_does_not_grow_with_samples():
-    # states are drawn and scored one chunk at a time; drawing all of them
-    # first peaks about 0.4 MB higher at 2000 samples than at 250
+    # states are drawn and scored one chunk at a time, as many as the byte
+    # budget holds (4369 here); drawing all of them first would hold 64
+    # bytes more a state, 1.7 MB more at 8 chunks than at 2
     channel = optimal_cloner(ClonerSpec(2, 1, 2))
+    chunk = cloner._chunk_size(channel)
     delta_one_numeric(channel, samples=20, seed=1)  # fill the table caches
     peaks = {}
-    for samples in (250, 2000):
+    for samples in (2 * chunk, 8 * chunk):
         tracemalloc.start()
         try:
             delta_one_numeric(channel, samples=samples, seed=1)
             peaks[samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[2000] <= peaks[250] + 16 * 1024, peaks
+    assert peaks[8 * chunk] <= peaks[2 * chunk] + 16 * 1024, peaks
 
 
 # --- symmetric representations and Choi spectra without d^M matrices -------

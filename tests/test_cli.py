@@ -227,6 +227,20 @@ def test_defect_twirl_stdout_digest_pinned():
     assert got == {argv: f"0 {digest}" for argv, digest in DEFECT_TWIRL_DIGESTS.items()}
 
 
+# sha256 of stdout at the default 2000 samples and seed 0, recorded while
+# each values() call of the sampler held at most 64 states
+@pytest.mark.parametrize("argv,digest", [
+    ("channel delta-one --d 2 --n 1 --m 4",
+     "8a102377d53414f1fec6751075fd96fd331fb47dfe3ac97d75f30ace26dcf30c"),
+    ("channel delta-one --d 3 --n 2 --m 4",
+     "cef9745647ce3c2fa3811668e4d67fb84867d27c48078c2f81050d499634314c"),
+])
+def test_delta_one_default_samples_digest_pinned(argv, digest):
+    code, out = capture(argv.split() + ["--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_byte_identical_reproducibility():
     argv = ["channel", "delta-one", "--d", "2", "--n", "1", "--m", "2",
             "--samples", "50", "--seed", "3"]

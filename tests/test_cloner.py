@@ -25,7 +25,7 @@ from cloneopt import (
     su2_component_cloner,
     sym_dimension,
 )
-from cloneopt import cloner
+from cloneopt import channels, cloner
 from cloneopt.cloner import Channel
 from cloneopt.tensor_core import _product_powers
 from cloneopt.tolerances import KRAUS_ENTRY_GUARD
@@ -465,13 +465,62 @@ def test_sampler_chunk_fits_the_byte_budget(d, N, M):
     # complex entries of the stacked K_r v and of the output state, per state
     per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
     chunk = cloner._chunk_size(channel)
-    assert 16 <= chunk <= 64
+    assert chunk == max(16, cloner._CHUNK_BYTES // per_state)
+    assert chunk == max(16, cloner._states_in_budget(channel))
     if chunk > 16:
-        assert chunk * per_state <= cloner._CHUNK_BYTES
-    if (d, N, M) in DESK_GRID:
-        assert chunk == 64
+        assert chunk * per_state <= cloner._CHUNK_BYTES < (chunk + 1) * per_state
     if (d, N, M) in [(8, 1, 4), (4, 5, 9)]:
         assert chunk == 16
+
+
+def count_sampler_calls(module, monkeypatch):
+    """Patch module's sampler to count its values() calls: those of the
+    draws, then those of refinement."""
+    sample, refine = cloner._sampled_supremum, cloner.refine_supremum
+    calls = {"draw": [], "refine": []}
+    phase = ["draw"]
+
+    def sampled(values, *args):
+        def counted(amps):
+            calls[phase[0]].append(len(amps))
+            return values(amps)
+
+        phase[0] = "draw"
+        return sample(counted, *args)
+
+    def refining(*args, **kwargs):
+        phase[0] = "refine"
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_sampled_supremum", sampled)
+    monkeypatch.setattr(cloner, "refine_supremum", refining)
+    return calls
+
+
+@pytest.mark.parametrize("d,N,M", [(2, 1, 2), (3, 1, 3)])
+@pytest.mark.parametrize("kind", ["delta_one", "delta_all"])
+def test_small_channel_draws_a_run_in_one_call(d, N, M, kind, monkeypatch):
+    # the byte budget holds all 200 states: one call draws them, and
+    # refinement scores all 20 steps of the five chains ahead in one call.
+    # Each later call scores only the steps left to the chains that
+    # accepted one, so it is smaller than the call before
+    spec = ClonerSpec(d, N, M)
+    assert cloner._chunk_size(optimal_cloner(spec)) >= 200
+    calls = count_sampler_calls(channels if kind == "delta_one" else cloner, monkeypatch)
+    refinements = 0
+    for seed in range(10):
+        calls["draw"].clear()
+        calls["refine"].clear()
+        if kind == "delta_one":
+            delta_one_numeric(optimal_cloner(spec), samples=200, seed=seed)
+        else:
+            delta_all_numeric(spec, samples=200, seed=seed)
+        assert calls["draw"] == [200], seed
+        assert calls["refine"][0] == 5 * 20, seed
+        assert all(a > b for a, b in zip(calls["refine"], calls["refine"][1:])), seed
+        refinements += len(calls["refine"])
+    # round-off decides the accepts: most runs refine in one or two calls
+    assert refinements <= 2 * 10
 
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID + [(8, 1, 4), (4, 5, 9)])

@@ -31,6 +31,7 @@ def test_check_limit_returns_the_size_up_to_the_limit():
                  id="pieri-summands"),
     pytest.param(lambda: maximize_exact(2, 1, 65), "MAX_SITES", id="label-sites"),
     pytest.param(lambda: enumerate_W1(9, 1, 4), "MAX_D", id="label-levels"),
+    pytest.param(lambda: maximize_exact(3, 10**5, 20), "MAX_SITES", id="label-boxes"),
     pytest.param(lambda: sym_embed(2, 13), "DEFAULT_DENSE_GUARD", id="sym-embed"),
     pytest.param(lambda: kron_power(np.eye(3), 8), "DEFAULT_DENSE_GUARD", id="kron-power"),
 ])

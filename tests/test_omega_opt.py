@@ -216,11 +216,14 @@ def test_exact_keeps_tied_maximizers_in_enumeration_order(monkeypatch):
 
 
 @pytest.mark.parametrize("d,N,M", [(2, 0, 3), (2, 3, 0), (1, 1, 2), (0, 0, 0), (1, 2, 40),
-                                   (1, 2, 65), (9, 1, 4), (2, 0, 65), (9, 1, 31), (2, 1, 65)])
+                                   (1, 2, 65), (9, 1, 4), (2, 0, 65), (9, 1, 31), (2, 1, 65),
+                                   (3, 65, 20), (3, 10**5, 20), (9, 65, 4), (2, 65, 65),
+                                   (2, 65, 0)])
 def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
     # brute and exact share their checks: the same error, type and
     # message, on every row, before any walk; a row past the range is
-    # refused with the message of its first size past the range, M before d
+    # refused with the message of its first size past the range, M, then
+    # d, then N
     def refuse(M, d):
         raise AssertionError("enumerated past the guard")
 
@@ -231,8 +234,9 @@ def test_exact_raises_the_brute_errors_in_order(d, N, M, monkeypatch):
         omega_opt.maximize_exact(d, N, M)
     assert (exact.type, str(exact.value)) == (brute.type, str(brute.value))
     if brute.type is DimensionGuardError:
-        assert d > MAX_D or M > MAX_SITES
-        expected = f"M = {M} exceeds guard 64" if M > MAX_SITES else f"d = {d} exceeds guard 8"
+        assert d > MAX_D or M > MAX_SITES or N > MAX_SITES
+        expected = (f"M = {M} exceeds guard 64" if M > MAX_SITES
+                    else f"d = {d} exceeds guard 8" if d > MAX_D else f"N = {N} exceeds guard 64")
         assert str(brute.value) == expected
 
 

@@ -73,6 +73,7 @@ for argv in sys.argv[1:]:
 """
 
 EXACT_ARGVS = [
+    "dims --d 2 --n 1",
     "omega max --d 4 --n 3 --m 12",
     "omega max --d 8 --n 10 --m 31",
     "omega max --d 8 --n 64 --m 64",
