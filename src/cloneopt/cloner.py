@@ -316,8 +316,11 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     chunk and its five chains.  A small channel's chunk holds every
     state a run of a few thousand samples draws, so such a run makes one
     draw call and a refinement call or two.  Only the five best, which
-    refinement never scores below, outlive a chunk, so memory does not
-    grow with samples.  values maps amplitudes (B, d) to B values.
+    refinement never scores below, outlive a chunk, so memory is bounded
+    by one chunk (its images and outputs fill at most _CHUNK_BYTES, or
+    are those of 16 states) plus the five best: it grows with samples up
+    to one chunk and not past it.  values maps amplitudes (B, d) to B
+    values.
     Raises ValueError for samples < 1, before anything is drawn."""
     if samples < 1:
         raise ValueError("samples must be >= 1")

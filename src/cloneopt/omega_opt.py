@@ -171,30 +171,19 @@ def _label_blocks(d: int, N: int, M: int):
 
     _check_labels(d, N, M)
     for m in _partitions(M, d):
-        sides = [min(m[k] - m[k + 1], N) for k in range(d - 1)]
-        if sum(sides) <= N:  # no row of the box grid passes N
-            head = np.indices([s + 1 for s in sides], dtype=np.int64).reshape(d - 1, -1).T
-            yield m, np.column_stack([head, N - head.sum(axis=1)])
-            continue
         # extend the rows slot by slot, each by the values that keep its
-        # sum <= N; left[i] is N - sum(row i), and each step keeps, per
-        # kept row, its parent row and its value in that slot
+        # sum <= N; left[i] is N - sum(row i), and every kept value takes
+        # a copy of its parent row
         left = np.array([N], dtype=np.int64)
-        steps = []
-        for k, side in enumerate(sides):
+        block = np.zeros((1, d), dtype=np.int64)
+        for k in range(d - 1):
+            side = min(m[k] - m[k + 1], N)
             if side:
-                rest = left[:, None] - np.arange(side + 1)
-                keep = rest >= 0
-                parent, value = np.nonzero(keep)
-                left = rest[keep]
-                steps.append((k, parent, value))
-        # then follow each finished row back through its parents
-        block = np.zeros((len(left), d), dtype=np.int64)
+                parent, value = np.nonzero(left[:, None] >= np.arange(side + 1))
+                left = left.take(parent) - value
+                block = block.take(parent, axis=0)
+                block[:, k] = value
         block[:, -1] = left
-        rows = np.arange(len(left))
-        for k, parent, value in reversed(steps):
-            block[:, k] = value[rows]
-            rows = parent[rows]
         yield m, block
 
 

@@ -12,8 +12,8 @@ import numpy as np
 from cloneopt.cloner import Channel, ClonerSpec
 from cloneopt.errors import check_limit
 from cloneopt.omega_opt import CandidatePoint, _label_blocks
-from cloneopt.rep_theory import check_dominant, is_dominant, pieri_branch
-from cloneopt.tensor_core import _table, sym_dimension, sym_embed
+from cloneopt.rep_theory import check_dominant, is_dominant, pieri_branch, sym_dimension
+from cloneopt.tensor_core import _table, sym_embed
 from cloneopt.tolerances import DEFAULT_DENSE_GUARD
 
 
