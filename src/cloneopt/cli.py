@@ -8,15 +8,15 @@ seed give byte-identical output.
 A process loads what its command uses: numpy, tensor_core, cloner and
 channels are imported by the handlers that need them, so dims and the
 exact commands (omega max|point|su2, rep *) run without numpy, and run()
-builds the parser of the one command its argv names.
+parses argv once, with the parser of the one command it names (the full
+parser when it names none).  A --state is one format: a JSON list of
+[re, im] pairs, inline or in a file.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,20 +48,20 @@ def _parse_spin(text: str) -> Fraction:
 
 
 def _parse_state(text: str, d: int):
-    """Pure-state amplitudes from inline JSON or a file path."""
+    """Pure-state amplitudes [[re, im], ...] from inline JSON or a file path."""
     import numpy as np
 
     from . import tensor_core as tc
 
     raw = text.strip()
-    if not raw.startswith(("[", "{")):
+    if not raw.startswith("["):
         try:
             raw = Path(text).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read state file {text!r}: {exc.strerror}") from exc
     try:
-        amps = se.vector_from_json(json.loads(raw))
-    except (ValueError, OverflowError, KeyError, TypeError) as exc:
+        amps = np.array([complex(re, im) for re, im in json.loads(raw)])
+    except (ValueError, OverflowError, TypeError) as exc:
         raise UsageError(f"cannot parse state {text!r}") from exc
     if amps.shape[0] != d:
         raise UsageError(f"state has {amps.shape[0]} amplitudes, expected {d}")
@@ -436,7 +436,11 @@ def build_parser(rows=_COMMANDS) -> argparse.ArgumentParser:
         prog="cloneopt",
         description="Optimal universal cloning channels and the omega functional",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a tree of fewer rows still lists every group in its usage line, which
+    # an unrecognized argument's error prints; the full tree lists its own
+    # choices, and names the missing command by its dest
+    metavar = None if rows is _COMMANDS else "{" + ",".join(_GROUP_HELP) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     groups = {}
     for group, name, handler, flags, defaults in rows:
         if name is None:
@@ -454,21 +458,14 @@ def build_parser(rows=_COMMANDS) -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the tree of the one _COMMANDS row it names.  When it
-    names none, or that tree rejects it, the full tree parses it, so that
-    help and usage errors read as they always have."""
+    """argv parsed once, by the tree of the one _COMMANDS row it names, or
+    by the full tree when it names none; help and usage errors read the
+    same from either."""
     row = [
         r for r in _COMMANDS
         if argv[:1] == [r[0]] and (r[1] is None or argv[1:2] == [r[1]])
     ]
-    if row:
-        try:
-            with redirect_stderr(io.StringIO()):
-                return build_parser(row).parse_args(argv)
-        except SystemExit as exc:
-            if exc.code in (0, None):
-                raise
-    return build_parser().parse_args(argv)
+    return build_parser(row or _COMMANDS).parse_args(argv)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -1,10 +1,12 @@
-"""JSON encodings shared by the CLI and external consumers.
+"""JSON encodings of the CLI's answers; encoders only, since the one
+input the CLI decodes, a --state list of [re, im] pairs, is read by
+cli.py itself.
 
 Conventions: rationals as [numerator, denominator] in lowest terms,
 matrices as {"rows", "cols", "entries"} with row-major [re, im] pairs,
 occupation vectors and weights as plain integer arrays.  numpy is
-imported by the three matrix functions only, so the exact commands'
-output needs none.
+imported by matrix_to_json only, so the exact commands' output needs
+none.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .omega_opt import OmegaReport
 __all__ = [
     "fraction_pair",
     "matrix_to_json",
-    "vector_from_json",
     "omega_report_to_json",
     "estimate_report",
     "dumps",
@@ -37,27 +38,6 @@ def matrix_to_json(mat: np.ndarray) -> dict:
         "cols": mat.shape[1],
         "entries": np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist(),
     }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    import numpy as np
-
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    flat = np.array([complex(re, im) for re, im in obj["entries"]])
-    if flat.shape[0] != rows * cols:
-        raise ValueError("entry count does not match rows * cols")
-    return flat.reshape(rows, cols)
-
-
-def vector_from_json(obj) -> np.ndarray:
-    """A complex vector from either a [[re, im], ...] array or a matrix
-    object with a single column or row."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        mat = matrix_from_json(obj)
-        return mat.reshape(-1)
-    return np.array([complex(re, im) for re, im in obj])
 
 
 def omega_report_to_json(report: OmegaReport) -> dict:

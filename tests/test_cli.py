@@ -17,10 +17,15 @@ from cloneopt.cli import build_parser, run
 from cloneopt.serialize import (
     fraction_pair,
     dumps,
-    matrix_from_json,
     matrix_to_json,
     omega_report_to_json,
 )
+
+
+def matrix_from_json(doc):
+    """The complex matrix a matrix_to_json document encodes."""
+    entries = np.array(doc["entries"], dtype=float).reshape(-1, 2)
+    return (entries[:, 0] + 1j * entries[:, 1]).reshape(doc["rows"], doc["cols"])
 
 
 def capture(argv):
@@ -152,7 +157,7 @@ def test_verify_all_checks_the_exact_maximizer(monkeypatch):
 # one stack.  channel defect|twirl are left out: their round-off-level
 # estimates differ between one and two BLAS threads at some sizes, so
 # test_defect_twirl_stdout_digest_pinned pins them at one thread.
-@pytest.mark.parametrize("argv,digest", [
+STDOUT_DIGESTS = [
     ("verify all --d 2 --n 1 --m 3",
      "8a2a3cfcda9f80934ef1b3d9c0d2e3fd6729533adbd87e6a3316f1cc9f3d99ef"),
     ("verify all --d 3 --n 2 --m 4",
@@ -177,7 +182,10 @@ def test_verify_all_checks_the_exact_maximizer(monkeypatch):
      "5f0928b624e4ed1e482921a9ea215eebb21432d7a10bda1d734133da774a67f8"),
     ("cloner overlap --d 3 --n 2 --m 4",
      "4266ba2db766005ed6718e5ef421f527d109075013d6bf9a0fb460e9ad2def62"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS)
 def test_stdout_digest_pinned(argv, digest):
     code, out = capture(argv.split() + ["--seed", "5"])
     assert code == 0
@@ -216,6 +224,15 @@ for argv in sys.argv[1:]:
         code = run(argv.split())
     print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
 """
+
+
+def test_stdout_digests_hold_on_two_blas_threads():
+    # only channel defect|twirl depend on the BLAS thread count; every
+    # other pinned command prints the same bytes on two threads
+    proc = run_child("-c", DIGEST_SCRIPT, *(argv + " --seed 5" for argv, _ in STDOUT_DIGESTS),
+                     env={"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {digest}" for _, digest in STDOUT_DIGESTS]
 
 
 def test_defect_twirl_stdout_digest_pinned():
@@ -458,10 +475,26 @@ def test_malformed_state_pair_exits_2(state, capsys):
     assert captured.err == f"error: cannot parse state {state!r}\n"
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("sub", ["apply", "marginal", "overlap"])
+def test_bad_state_is_refused_before_the_kraus_guard(sub, capsys):
+    # (3, 1, 34) is past the Kraus entry guard; a bad --state exits 2 first
+    argv = ["cloner", sub, "--d", "3", "--n", "1", "--m", "34"]
+    assert run(argv + ["--state", "[[1,0]]"]) == 2
+    assert capsys.readouterr().err == "error: state has 1 amplitudes, expected 3\n"
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: optimal cloner Kraus entries ")
+
+
+# --state takes [[re, im], ...] alone: a matrix object, once read as the
+# state of its entries whatever its shape, is a file name that does not exist
+STATE_OBJECT = '{"rows": 2, "cols": 1, "entries": [[1, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "object"])
 @pytest.mark.parametrize("sub", ["apply", "marginal", "overlap"])
 def test_unreadable_state_path_exits_2(sub, kind, tmp_path, capsys):
-    state = tmp_path / "state.json" if kind == "missing" else tmp_path
+    state = {"missing": tmp_path / "state.json", "directory": tmp_path,
+             "object": STATE_OBJECT}[kind]
     code = run(["cloner", sub, "--d", "2", "--n", "1", "--m", "2", "--state", str(state)])
     captured = capsys.readouterr()
     assert code == 2

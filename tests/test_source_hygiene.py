@@ -1,6 +1,7 @@
 """Dead-code checks on the package source: no unread import, no
-unreferenced private module-level function or class, no unreferenced
-method, no exported name that only its own module reads, no constant of
+unreferenced private module-level function or class, no public one that
+only the tests read, no unreferenced method, no exported name that only
+its own module reads, no constant of
 cloneopt.tolerances that no other module reads, no unbounded cache, and
 no DimensionGuardError raised outside errors.check_limit."""
 import ast
@@ -138,6 +139,25 @@ def test_every_export_is_read_outside_its_module():
         if not any(name in names for reader, names in reads.items() if reader != path)
     )
     assert not unread, f"exported names only their own module reads: {unread}"
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # a public module-level function or class must be read by the package
+    # (outside its own body), a demo or perfbench; what only the tests
+    # read belongs in the tests.  __init__ only names the exports of its
+    # lazy table, so it reads none of them
+    statements = [node for path in SOURCES if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text()).body]
+    readers = DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(references(ast.parse(path.read_text())) for path in readers))
+    unread = [
+        node.name
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in read
+        and not any(node.name in references(other) for other in statements if other is not node)
+    ]
+    assert not unread, f"public definitions only the tests read: {unread}"
 
 
 def test_every_tolerance_is_read_by_another_module():

@@ -1,6 +1,6 @@
 """What a cloneopt process loads: the package's exports resolve lazily,
-the exact commands run without numpy, and the CLI parses argv with the
-argparse tree of the one command it names."""
+the exact commands run without numpy, and the CLI parses argv once, with
+the argparse tree of the one command it names."""
 import io
 import json
 import os
@@ -155,15 +155,32 @@ def test_argv_naming_no_row_gets_the_full_tree(argv):
     assert run_cli(argv) == full_tree(argv)
 
 
-def test_valid_argv_builds_one_row(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The rows, as (group, subcommand), of every tree build_parser builds."""
+    trees = []
     build = cli.build_parser
 
     def counting(rows=cli._COMMANDS):
-        built.append([r[:2] for r in rows])
+        trees.append([r[:2] for r in rows])
         return build(rows)
 
     monkeypatch.setattr(cli, "build_parser", counting)
+    return trees
+
+
+def test_valid_argv_builds_one_row(built):
     assert run_cli(["rep", "adjoint", "--d", "3", "--n", "2"])[0] == 0
     assert run_cli(["dims", "--d", "3", "--n", "2"])[0] == 0
     assert built == [[("rep", "adjoint")], [("dims", None)]]
+
+
+def test_invalid_argv_builds_one_tree(built):
+    # a refused argv is parsed once too: by its row's tree when it names
+    # a row, else by the full tree
+    for argv in (["rep", "adjoint", "--d", "3", "--n", "2", "--zzz"], ["dims"],
+                 ["cloner", "apply", "--help"], [], ["omega", "maximum"], ["--help"]):
+        assert run_cli(argv)[0] in (0, 2), argv
+    full = [r[:2] for r in cli._COMMANDS]
+    assert built == [[("rep", "adjoint")], [("dims", None)], [("cloner", "apply")],
+                     full, full, full]
