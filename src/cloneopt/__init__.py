@@ -22,7 +22,6 @@ _EXPORTS = {
     "STATE_TOL": "tolerances",
     "STRUCTURAL_TOL": "tolerances",
     "SYMMETRIC_BASIS": "tensor_core",
-    "DensityOperator": "tensor_core",
     "PureState": "tensor_core",
     "haar_state": "tensor_core",
     "occupation_basis": "tensor_core",

@@ -7,6 +7,10 @@ defects, direct measurement of the omega functional and of the
 single-clone error for arbitrary cloning channels, and explicit qubit
 component cloners, one per label (m, mu) of the omega_opt domain at
 d = 2, built from angular-momentum coupling on the occupation tables.
+
+Only a dense Choi matrix (choi, twirl_choi) meets the dense guard on its
+side.  The CP check and the covariance defect work from the Kraus
+factor, which holds at most twice the entries of the Kraus stack.
 """
 from __future__ import annotations
 
@@ -19,18 +23,12 @@ import numpy as np
 from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
 from .errors import ChannelPropertyError, check_limit
 from .omega_opt import CandidatePoint, _check_spins
-from .tensor_core import (
-    DensityOperator,
-    one_body_operator,
-    product_power,
-    single_site_marginal,
-)
+from .tensor_core import one_body_operator, product_power, single_site_marginal
 from .tolerances import DEFAULT_DENSE_GUARD
 
 __all__ = [
     "symmetric_rep",
     "kron_power",
-    "check_choi_guard",
     "choi",
     "min_choi_eigenvalue",
     "twirl_choi",
@@ -98,9 +96,10 @@ def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
     return replace(channel, kraus=u_out.conj().T @ channel.kraus @ u_in)
 
 
-def check_choi_guard(channel: Channel) -> int:
-    """Side in_dim * out_dim of the Choi matrix; raises DimensionGuardError
-    above the dense guard."""
+def _dense_choi_side(channel: Channel) -> int:
+    """Side in_dim * out_dim of a dense Choi matrix; raises
+    DimensionGuardError above the dense guard.  Only choi and twirl_choi,
+    which allocate side x side, read it."""
     in_dim, out_dim = channel.in_dim, channel.out_dim
     return check_limit(f"Choi matrix of side in_dim * out_dim = {in_dim} * {out_dim}",
                        in_dim * out_dim, DEFAULT_DENSE_GUARD)
@@ -127,7 +126,7 @@ def choi(channel: Channel) -> np.ndarray:
     on C^d this is d times the maximally entangled projector.  Raises
     DimensionGuardError when in_dim * out_dim exceeds the dense guard.
     """
-    check_choi_guard(channel)
+    _dense_choi_side(channel)
     rows = choi_rows(channel)
     return rows.T @ rows.conj()
 
@@ -136,7 +135,7 @@ def min_choi_eigenvalue(channel: Channel) -> float:
     """Least eigenvalue of the Choi matrix, from its Kraus factor: the
     least eigenvalue _factor_eigvalsh gives, or 0 where R < side leaves
     the Choi matrix a kernel and that eigenvalue is positive."""
-    side = check_choi_guard(channel)
+    side = channel.in_dim * channel.out_dim
     least = float(_factor_eigvalsh(choi_rows(channel))[0])
     return min(least, 0.0) if len(channel.kraus) < side else least
 
@@ -156,7 +155,7 @@ def twirl_choi(channel: Channel, samples: int = 200, seed: int = 0) -> np.ndarra
     of tau_u(T) over `samples` seeded unitaries.  Raises ValueError for
     samples < 1 and DimensionGuardError above the dense guard."""
     rotations = _rotations(channel, samples, seed)
-    acc = np.zeros((check_choi_guard(channel),) * 2, dtype=complex)
+    acc = np.zeros((_dense_choi_side(channel),) * 2, dtype=complex)
     for rotated in rotations:
         rows = choi_rows(rotated)
         acc += rows.T @ rows.conj()
@@ -167,11 +166,11 @@ def covariance_defect(channel: Channel, samples: int = 50, seed: int = 0) -> flo
     """Max operator-norm Choi distance between tau_u(T) and T over seeded
     Haar unitaries; zero (to tolerance) iff T is covariant.  The spectra
     come from the Kraus factors [X_u X_0] (choi_rows, written into one
-    buffer that every sample reuses, X_0 once).  Raises ValueError for
-    samples < 1 and DimensionGuardError when in_dim * out_dim exceeds the
-    dense guard."""
+    buffer that every sample reuses, X_0 once).  The buffer holds twice
+    the entries of the Kraus stack and no Choi matrix is formed, so no
+    Choi-side guard applies.  Raises ValueError for samples < 1."""
     rotations = _rotations(channel, samples, seed)
-    side = check_choi_guard(channel)
+    side = channel.in_dim * channel.out_dim
     R = len(channel.kraus)
     rows = np.empty((2 * R, side), dtype=complex)
     choi_rows(channel, rows[R:])
@@ -210,23 +209,29 @@ def omega_measure(channel: Channel) -> float:
 
     Raises ChannelPropertyError when the least-squares relative residual
     exceeds 1e-8 (the channel is then not covariant enough to define a
-    single omega), and ValueError at N = 0, where the input generators vanish."""
+    single omega), and ValueError at N = 0, where the input generators vanish.
+
+    One pair (L, R) is held at a time.  Each generator keeps its own fit
+    own = Re<R, L>/<R, R> and residual res = |L - own R|/|R|; L - own R is
+    orthogonal to R in the real inner product, so the residual at omega is
+    hypot(res, own - omega) with no cancellation."""
     if channel.n_in == 0:
         raise ValueError("omega is undefined for N = 0 (trivial input)")
     d = channel.d
     num = 0.0
     den = 0.0
-    pairs = []
+    fits = []
     for a in traceless_hermitian_basis(d):
         L = channel.apply_observable(one_body_operator(a, d, channel.m_out))
         R = one_body_operator(a, d, channel.n_in)
-        num += float(np.real(np.vdot(R, L)))
-        den += float(np.real(np.vdot(R, R)))
-        pairs.append((L, R))
+        rl = float(np.real(np.vdot(R, L)))
+        rr = float(np.real(np.vdot(R, R)))
+        num += rl
+        den += rr
+        own = rl / rr
+        fits.append((own, float(np.linalg.norm(L - own * R) / np.linalg.norm(R))))
     omega = num / den
-    residual = max(
-        float(np.linalg.norm(L - omega * R) / np.linalg.norm(R)) for L, R in pairs
-    )
+    residual = max(math.hypot(res, own - omega) for own, res in fits)
     if residual > 1e-8:
         raise ChannelPropertyError(
             "channel is not covariant/permutation-invariant enough to define "
@@ -249,9 +254,8 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     """
     def values(amps: np.ndarray) -> np.ndarray:
         rho_out = channel.apply_fast(product_power(amps, channel.n_in))
-        dens = DensityOperator(rho_out, channel.d, channel.m_out)
         proj = amps[..., :, None] * amps.conj()[..., None, :]
-        vals = np.linalg.eigvalsh(single_site_marginal(dens) - proj)
+        vals = np.linalg.eigvalsh(single_site_marginal(rho_out, channel.d, channel.m_out) - proj)
         return np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
 
     return _sampled_supremum(values, channel, samples, seed)

@@ -327,10 +327,9 @@ def _cmd_verify_all(args):
         if not ok:
             failures.append(name)
 
-    # every guard this suite can hit, before any check runs; they bound
-    # its label listing too
+    # the Kraus entry guard is the one guard this suite can hit; it runs
+    # here, before any check, and bounds the label listing too
     channel = cl.optimal_cloner(spec)
-    ch.check_choi_guard(channel)
 
     gamma = float(cl.shrinking_factor(spec))
     target = rt.sym_dimension(d, N) / rt.sym_dimension(d, M)

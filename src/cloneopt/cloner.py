@@ -17,7 +17,6 @@ from .errors import check_limit
 from .omega_opt import delta_one_from_gamma
 from .rep_theory import sym_dimension
 from .tensor_core import (
-    DensityOperator,
     PureState,
     _basis_dimension,
     _product_powers,
@@ -190,8 +189,7 @@ def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState) -> np.nd
     """
     channel = optimal_cloner(cloner) if isinstance(cloner, ClonerSpec) else cloner
     rho_out = channel.apply_fast(product_power(psi, channel.n_in))
-    dens = DensityOperator(rho_out, channel.d, channel.m_out)
-    return single_site_marginal(dens)
+    return single_site_marginal(rho_out, channel.d, channel.m_out)
 
 
 def all_clone_overlap(cloner: ClonerSpec | Channel, psi: PureState) -> float:

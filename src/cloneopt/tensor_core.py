@@ -25,7 +25,6 @@ SYMMETRIC_BASIS = "symmetric-occupation"
 __all__ = [
     "SYMMETRIC_BASIS",
     "PureState",
-    "DensityOperator",
     "occupation_basis",
     "sym_embed",
     "product_power",
@@ -138,27 +137,6 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Density matrix on the symmetric occupation basis of `sites` sites
-    of C^d, of size sym_dimension(d, sites).  Leading axes, if any, stack
-    matrices.
-    """
-
-    matrix: np.ndarray
-    d: int
-    sites: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        dim = _basis_dimension(self.d, self.sites, max(mat.shape[-2:], default=0))
-        if mat.shape[-2:] != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match basis dimension {dim}"
-            )
-
-
 def sym_embed(d: int, N: int) -> np.ndarray:
     """Isometry E from the occupation basis into (C^d)^{x N}.
 
@@ -228,18 +206,24 @@ def one_body_operator(a: np.ndarray, d: int, sites: int) -> np.ndarray:
     return op
 
 
-def single_site_marginal(rho: DensityOperator) -> np.ndarray:
+def single_site_marginal(matrix: np.ndarray, d: int, sites: int) -> np.ndarray:
     """d x d reduced density matrix of one site, the same for every site
-    of a symmetric state.  A stack of density matrices gives a stack of
-    marginals.
+    of a symmetric state, from its density matrix on the occupation basis
+    of `sites` sites of C^d.  Leading axes of matrix stack density
+    matrices and give a stack of marginals.  Raises ValueError when the
+    matrix side is not sym_dimension(d, sites), or at sites < 1.
     """
-    if rho.sites < 1:
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = _basis_dimension(d, sites, max(matrix.shape[-2:], default=0))
+    if matrix.shape[-2:] != (dim, dim):
+        raise ValueError(f"matrix shape {matrix.shape} does not match basis dimension {dim}")
+    if sites < 1:
         raise ValueError("a single-site marginal needs at least one site")
     # marg[i, j] = (1/N) tr(rho b_j^dag b_i): annihilate mode i, create mode j
-    t = _table(rho.d, rho.sites)
-    terms = rho.matrix[..., t.hop_col, t.hop_row] * t.hop_weight
-    marg = np.add.reduceat(terms, t.hop_starts, axis=-1) / rho.sites
-    return marg.reshape(rho.matrix.shape[:-2] + (rho.d, rho.d))
+    t = _table(d, sites)
+    terms = matrix[..., t.hop_col, t.hop_row] * t.hop_weight
+    marg = np.add.reduceat(terms, t.hop_starts, axis=-1) / sites
+    return marg.reshape(matrix.shape[:-2] + (d, d))
 
 
 def haar_state(d: int, seed: int) -> PureState:

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,6 @@ import pytest
 from cloneopt import (
     ChannelPropertyError,
     ClonerSpec,
-    DensityOperator,
     CandidatePoint,
     DimensionGuardError,
     choi,
@@ -41,6 +41,7 @@ from cloneopt.channels import (
     min_choi_eigenvalue,
     su2_coupling_isometry,
     symmetric_rep,
+    traceless_hermitian_basis,
     twirl_choi,
 )
 from cloneopt import cloner
@@ -142,7 +143,7 @@ def test_twirl_washes_out_direction():
     v = product_power(psi, 1)
     C = averaged.reshape(channel.in_dim, channel.out_dim, channel.in_dim, channel.out_dim)
     out = np.einsum("ij,iajb->ab", np.outer(v, v.conj()), C)
-    marg = single_site_marginal(DensityOperator(out, 2, 2))
+    marg = single_site_marginal(out, 2, 2)
     gamma_est = float(np.real(np.vdot(psi.projector() - np.eye(2) / 2, marg))) / (
         float(np.real(np.vdot(psi.projector() - np.eye(2) / 2,
                               psi.projector() - np.eye(2) / 2)))
@@ -159,6 +160,34 @@ def test_omega_measure_values():
 def test_omega_measure_rejects_non_covariant():
     with pytest.raises(ChannelPropertyError):
         omega_measure(constant_output_channel(2, 1, 2))
+
+
+def test_omega_residual_is_the_direct_fit():
+    # the per-generator form hypot(res, own - omega) against |L - omega R|/|R|
+    channel = constant_output_channel(2, 1, 2)
+    d = channel.d
+    pairs = [(channel.apply_observable(one_body_operator(a, d, channel.m_out)),
+              one_body_operator(a, d, channel.n_in)) for a in traceless_hermitian_basis(d)]
+    omega = (sum(np.real(np.vdot(R, L)) for L, R in pairs)
+             / sum(np.real(np.vdot(R, R)) for L, R in pairs))
+    direct = max(np.linalg.norm(L - omega * R) / np.linalg.norm(R) for L, R in pairs)
+    with pytest.raises(ChannelPropertyError, match=re.escape(f"residual {direct:.2e})") + "$"):
+        omega_measure(channel)
+
+
+def test_omega_measure_holds_one_generator_at_a_time():
+    # (4, 8, 8) has d^2 - 1 = 15 generators, each a pair (L, R) of side 165:
+    # 30 such matrices if every pair is kept until the residual
+    channel = optimal_cloner(ClonerSpec(4, 8, 8))
+    omega_measure(channel)  # fill the table caches
+    matrix = 16 * channel.in_dim ** 2
+    tracemalloc.start()
+    try:
+        omega_measure(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * matrix, peak / matrix
 
 
 def test_omega_measure_rejects_trivial_input():
@@ -335,8 +364,22 @@ def test_choi_and_twirl_guard_refuse_before_allocating():
         choi(channel)
     with pytest.raises(DimensionGuardError):
         twirl_choi(channel, samples=1)
-    with pytest.raises(DimensionGuardError):
-        covariance_defect(channel, samples=1)
+
+
+def test_factor_checks_answer_past_the_choi_guard():
+    # at Choi side 26163 a dense Choi matrix would take 11 GB; the Kraus
+    # factors of the CP check and the covariance defect hold 3 and 6 rows
+    channel = optimal_cloner(ClonerSpec(3, 16, 17))
+    tracemalloc.start()
+    try:
+        least = min_choi_eigenvalue(channel)
+        defect = covariance_defect(channel, samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least >= -1e-10
+    assert defect < 1e-10
+    assert peak < 64 * 2**20, peak
 
 
 # --- the batched sampler against the per-state loop it replaced ------------
@@ -368,8 +411,8 @@ def reference_delta_one(channel, samples, seed):
 
     def value(amps):
         v = product_power(amps, N)
-        dens = DensityOperator(channel.apply(np.outer(v, v.conj())), d, M)
-        vals = np.linalg.eigvalsh(single_site_marginal(dens) - np.outer(amps, amps.conj()))
+        marg = single_site_marginal(channel.apply(np.outer(v, v.conj())), d, M)
+        vals = np.linalg.eigvalsh(marg - np.outer(amps, amps.conj()))
         return float(np.sum(vals[vals > 0]))
 
     draws, *chains = np.random.SeedSequence(seed).spawn(6)

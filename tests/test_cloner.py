@@ -10,7 +10,6 @@ import pytest
 from cloneopt import (
     CandidatePoint,
     ClonerSpec,
-    DensityOperator,
     all_clone_overlap,
     choi,
     delta_all_numeric,
@@ -22,6 +21,7 @@ from cloneopt import (
     product_power,
     shrinking_factor,
     single_clone_marginal,
+    single_site_marginal,
     su2_component_cloner,
     sym_dimension,
 )
@@ -171,8 +171,8 @@ def test_kraus_stack_rejects_malformed_input(kraus):
 @pytest.mark.parametrize("build,message", [
     (lambda n: Channel(np.zeros((1, 1, 1)), n, n, n), "do not map"),
     (lambda n: Channel(np.zeros((1, 1, 1)), n, n, 0), "do not map"),  # the input side alone
-    (lambda n: DensityOperator(np.zeros((1, 1)), n, n), "does not match"),
-    (lambda n: DensityOperator(np.zeros((3, 1, 1)), n, n), "does not match"),  # a stack
+    (lambda n: single_site_marginal(np.zeros((1, 1)), n, n), "does not match"),
+    (lambda n: single_site_marginal(np.zeros((3, 1, 1)), n, n), "does not match"),  # a stack
 ])
 def test_huge_declared_sizes_are_refused_at_once(build, message):
     # C(2n - 1, n) alone took 18 s at n = 400000, and its digits overran

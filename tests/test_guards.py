@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cloneopt import tolerances
-from cloneopt.channels import check_choi_guard, kron_power, su2_component_cloner
+from cloneopt.channels import choi, kron_power, su2_component_cloner, twirl_choi
 from cloneopt.cloner import ClonerSpec, optimal_cloner
 from cloneopt.errors import DimensionGuardError, check_limit
 from cloneopt.omega_opt import CandidatePoint, enumerate_W1, maximize_exact
@@ -23,8 +23,10 @@ def test_check_limit_returns_the_size_up_to_the_limit():
 @pytest.mark.parametrize("refuse,constant", [
     pytest.param(lambda: optimal_cloner(ClonerSpec(3, 1, 34)), "KRAUS_ENTRY_GUARD",
                  id="kraus-entries"),
-    pytest.param(lambda: check_choi_guard(optimal_cloner(ClonerSpec(3, 16, 17))),
+    pytest.param(lambda: choi(optimal_cloner(ClonerSpec(3, 16, 17))),
                  "DEFAULT_DENSE_GUARD", id="choi-side"),
+    pytest.param(lambda: twirl_choi(optimal_cloner(ClonerSpec(3, 16, 17)), samples=1),
+                 "DEFAULT_DENSE_GUARD", id="twirl-choi-side"),
     pytest.param(lambda: su2_component_cloner(CandidatePoint((64, 0), (1, 0))),
                  "DEFAULT_DENSE_GUARD", id="coupled-spin-side"),
     pytest.param(lambda: pieri_branch(64, (64, 48, 32, 16, 0)), "BRANCH_SUMMAND_GUARD",
