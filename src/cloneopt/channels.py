@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloner import Channel, _factor_eigvalsh, _sampled_supremum
+from .cloner import Channel, _factor_eigvalsh, _sampled_supremum, single_clone_marginal
 from .errors import ChannelPropertyError, check_limit
 from .omega_opt import CandidatePoint, _check_spins
-from .tensor_core import one_body_operator, product_power, single_site_marginal
+from .tensor_core import one_body_operator
 from .tolerances import DEFAULT_DENSE_GUARD
 
 __all__ = [
@@ -90,9 +90,10 @@ def symmetric_rep(u: np.ndarray, N: int) -> np.ndarray:
 
 def conjugate_channel(channel: Channel, u: np.ndarray) -> Channel:
     """The rotated channel tau_u(T): rho -> U_M^* T(U_N rho U_N^*) U_M,
-    with U_N = Sym^N(u) and U_M = Sym^M(u)."""
+    with U_N = Sym^N(u) and U_M = Sym^M(u); at M = N the one matrix
+    Sym^N(u) serves as both."""
     u_in = symmetric_rep(u, channel.n_in)
-    u_out = symmetric_rep(u, channel.m_out)
+    u_out = u_in if channel.m_out == channel.n_in else symmetric_rep(u, channel.m_out)
     return replace(channel, kraus=u_out.conj().T @ channel.kraus @ u_in)
 
 
@@ -157,8 +158,7 @@ def twirl_choi(channel: Channel, samples: int = 200, seed: int = 0) -> np.ndarra
     rotations = _rotations(channel, samples, seed)
     acc = np.zeros((_dense_choi_side(channel),) * 2, dtype=complex)
     for rotated in rotations:
-        rows = choi_rows(rotated)
-        acc += rows.T @ rows.conj()
+        acc += choi(rotated)
     return acc / samples
 
 
@@ -244,7 +244,8 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     """Sampled supremum over pure inputs of the single-clone probability
     deviation.
 
-    The inner supremum over effects 0 <= a <= 1 is evaluated analytically
+    Each batch of states is scored through single_clone_marginal.  The
+    inner supremum over effects 0 <= a <= 1 is evaluated analytically
     as the sum of positive eigenvalues of (marginal - |psi><psi|); the
     outer supremum is sampled with local refinement of the best states.
     Seeded as cloner._sampled_supremum describes: one SeedSequence(seed)
@@ -253,9 +254,8 @@ def delta_one_numeric(channel: Channel, samples: int = 2000, seed: int = 0) -> f
     run.
     """
     def values(amps: np.ndarray) -> np.ndarray:
-        rho_out = channel.apply_fast(product_power(amps, channel.n_in))
         proj = amps[..., :, None] * amps.conj()[..., None, :]
-        vals = np.linalg.eigvalsh(single_site_marginal(rho_out, channel.d, channel.m_out) - proj)
+        vals = np.linalg.eigvalsh(single_clone_marginal(channel, amps) - proj)
         return np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
 
     return _sampled_supremum(values, channel, samples, seed)

@@ -119,8 +119,6 @@ def _render(obj, fmt: str) -> str:
     """The whole stdout text of an answer; raises ValueError for an int
     past Python's int-to-str digit limit."""
     if fmt == "table":
-        if not isinstance(obj, dict):
-            obj = {"value": obj}
         width = max(len(k) for k in obj)
         lines = []
         for k, v in obj.items():
@@ -153,28 +151,28 @@ def _cloner(args):
     return cl.optimal_cloner(_cloner_spec(args))
 
 
+def _overlap(args) -> Fraction:
+    """d[N]/d[M], the optimal cloner's all-clone overlap on every state."""
+    return Fraction(rt.sym_dimension(args.d, args.n), rt.sym_dimension(args.d, args.m))
+
+
 def _cmd_cloner_constants(args):
     from . import cloner as cl
 
     spec = _cloner_spec(args)
     gamma = cl.shrinking_factor(spec)
-    overlap = Fraction(
-        rt.sym_dimension(args.d, args.n), rt.sym_dimension(args.d, args.m)
-    )
     return {
         "gamma": se.fraction_pair(gamma),
         "delta_one": se.fraction_pair(cl.delta_one_closed_form(spec)),
-        "overlap": se.fraction_pair(overlap),
+        "overlap": se.fraction_pair(_overlap(args)),
     }
 
 
 def _cmd_cloner_apply(args):
-    from . import cloner as cl
     from . import tensor_core as tc
 
-    spec = _cloner_spec(args)
     psi = _input_state(args)
-    channel = cl.optimal_cloner(spec)  # refuses sizes past the guard before psi^N is built
+    channel = _cloner(args)  # refuses sizes past the guard before psi^N is built
     rho_out = channel.apply_fast(tc.product_power(psi, args.n))
     return {
         "d": args.d,
@@ -197,9 +195,7 @@ def _cmd_cloner_overlap(args):
 
     return {
         "overlap": cl.all_clone_overlap(_cloner_spec(args), _input_state(args)),
-        "expected": se.fraction_pair(
-            Fraction(rt.sym_dimension(args.d, args.n), rt.sym_dimension(args.d, args.m))
-        ),
+        "expected": se.fraction_pair(_overlap(args)),
     }
 
 
@@ -332,7 +328,7 @@ def _cmd_verify_all(args):
     channel = cl.optimal_cloner(spec)
 
     gamma = float(cl.shrinking_factor(spec))
-    target = rt.sym_dimension(d, N) / rt.sym_dimension(d, M)
+    target = float(_overlap(args))
     for k in range(20):
         psi = tc.haar_state(d, seed=args.seed + k)
         marg = cl.single_clone_marginal(channel, psi)

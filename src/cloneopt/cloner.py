@@ -181,11 +181,13 @@ def delta_one_closed_form(spec: ClonerSpec) -> Fraction:
     return delta_one_from_gamma(shrinking_factor(spec), spec.d)
 
 
-def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState) -> np.ndarray:
-    """One-site output marginal of the optimal cloner on psi^{x N}.
+def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState | np.ndarray) -> np.ndarray:
+    """One-site output marginal of a cloning channel on psi^{x N}.
 
-    Equals gamma |psi><psi| + (1 - gamma)/d within structural tolerance.
-    The cloner is given by its spec or as the channel already built.
+    The channel is any Channel, or the optimal cloner given by its spec;
+    for the optimal cloner the marginal equals gamma |psi><psi| +
+    (1 - gamma)/d within structural tolerance.  Amplitudes of shape
+    (..., d) give a stack of marginals of shape (..., d, d).
     """
     channel = optimal_cloner(cloner) if isinstance(cloner, ClonerSpec) else cloner
     rho_out = channel.apply_fast(product_power(psi, channel.n_in))

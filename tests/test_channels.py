@@ -44,8 +44,8 @@ from cloneopt.channels import (
     traceless_hermitian_basis,
     twirl_choi,
 )
-from cloneopt import cloner
-from cloneopt.cloner import Channel, refine_supremum
+from cloneopt import channels, cloner
+from cloneopt.cloner import Channel, refine_supremum, single_clone_marginal
 
 from reference import constant_output_channel, spin_embedding
 
@@ -503,6 +503,25 @@ def test_delta_one_numeric_matches_per_state_loop(channel):
     assert abs(batched - reference_delta_one(channel, 37, 5)) < 1e-12
 
 
+@pytest.mark.parametrize("channel", [
+    optimal_cloner(ClonerSpec(3, 2, 4)),
+    constant_output_channel(3, 1, 2),
+    conjugate_channel(su2_component_cloner(CandidatePoint((2, 1), (1, 0))),
+                      haar_unitary(2, np.random.default_rng(3))),
+])
+def test_batched_marginal_is_the_stack_of_single_marginals(channel):
+    # delta_one_numeric scores its batches through single_clone_marginal.
+    # Not bit for bit: one state takes a matrix-vector product in
+    # kraus_images and a batch a matrix product, and np.prod in
+    # product_power reduces a batch in another order; both round apart in
+    # the last bit
+    amps = np.array([haar_state(channel.d, seed).amplitudes for seed in range(5)])
+    stack = np.array([single_clone_marginal(channel, a) for a in amps])
+    batch = single_clone_marginal(channel, amps)
+    assert batch.shape == (5, channel.d, channel.d)
+    assert np.max(np.abs(batch - stack)) <= 1e-15
+
+
 # Values printed with 200 samples each.  The covariant rows are the closed
 # form up to rounding; the sampler seeded once per run from SeedSequence(seed)
 # still gives them within 1e-12 of the values pinned before it.  The
@@ -813,3 +832,17 @@ def test_conjugation_matches_dense_oracle():
     for K, D in zip(conjugate_channel(channel, u).kraus, dense):
         assert np.max(np.abs(K - D)) < 1e-12
 
+
+
+@pytest.mark.parametrize("estimate", [covariance_defect, twirl_choi])
+@pytest.mark.parametrize("N,M,built", [(2, 2, [2, 2]), (2, 3, [2, 3, 2, 3])])
+def test_one_symmetric_rep_per_draw_at_m_equal_n(estimate, N, M, built, monkeypatch):
+    calls = []
+
+    def counting(u, sites):
+        calls.append(sites)
+        return symmetric_rep(u, sites)
+
+    monkeypatch.setattr(channels, "symmetric_rep", counting)
+    estimate(optimal_cloner(ClonerSpec(3, N, M)), samples=2, seed=0)
+    assert calls == built
