@@ -37,12 +37,12 @@ _EXPORTS = {
     "weyl_dimension": "rep_theory",
     "sym_dimension": "rep_theory",
     "Channel": "cloner",
-    "ClonerSpec": "cloner",
+    "ClonerSpec": "omega_opt",
     "all_clone_overlap": "cloner",
     "delta_all_numeric": "cloner",
-    "delta_one_closed_form": "cloner",
+    "delta_one_closed_form": "omega_opt",
     "optimal_cloner": "cloner",
-    "shrinking_factor": "cloner",
+    "shrinking_factor": "omega_opt",
     "single_clone_marginal": "cloner",
     "choi": "channels",
     "covariance_defect": "channels",

@@ -4,17 +4,20 @@ The optimal cloner maps a state rho on the N-fold symmetric input space
 to (d[N]/d[M]) S_M (rho x 1) S_M on the M-fold output space.  It is
 constructed here directly in the occupation bases; the dense
 construction on the full tensor space is the tests' oracle.
+
+ClonerSpec, shrinking_factor and delta_one_closed_form are pure Python
+and defined in omega_opt, next to gamma_from_omega; they are bound here
+too, under the same names.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import check_limit
-from .omega_opt import delta_one_from_gamma
+from .omega_opt import ClonerSpec, delta_one_closed_form, shrinking_factor
 from .rep_theory import sym_dimension
 from .tensor_core import (
     PureState,
@@ -38,23 +41,6 @@ __all__ = [
     "delta_all_numeric",
     "refine_supremum",
 ]
-
-
-@dataclass(frozen=True)
-class ClonerSpec:
-    """Problem sizes: d-level systems, N inputs, M >= N outputs."""
-
-    d: int
-    n_in: int
-    m_out: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if self.n_in < 1:
-            raise ValueError("N must be >= 1")
-        if self.m_out < self.n_in:
-            raise ValueError("M must be >= N")
 
 
 @dataclass
@@ -170,17 +156,6 @@ def optimal_cloner(spec: ClonerSpec) -> Channel:
     return Channel(kraus=kraus, d=d, n_in=N, m_out=M)
 
 
-def shrinking_factor(spec: ClonerSpec) -> Fraction:
-    """Exact shrinking factor N/(N+d) * (M+d)/M of the optimal cloner."""
-    d, N, M = spec.d, spec.n_in, spec.m_out
-    return Fraction(N, N + d) * Fraction(M + d, M)
-
-
-def delta_one_closed_form(spec: ClonerSpec) -> Fraction:
-    """Exact single-clone error (d-1)/d * |1 - shrinking factor|."""
-    return delta_one_from_gamma(shrinking_factor(spec), spec.d)
-
-
 def single_clone_marginal(cloner: ClonerSpec | Channel, psi: PureState | np.ndarray) -> np.ndarray:
     """One-site output marginal of a cloning channel on psi^{x N}.
 
@@ -229,11 +204,17 @@ def _factor_eigvalsh(rows: np.ndarray, negative: int = 0) -> np.ndarray:
 # _CHUNK.  A small channel then scores a run of up to a few thousand
 # states in one call and pays the fixed numpy costs of a call once;
 # channels whose _CHUNK states already exceed the budget keep _CHUNK,
-# so no channel makes more calls than at a fixed 16, and none holds
-# more per call than the larger of 16 states and _CHUNK_BYTES.
-# The count, 16 bytes a complex entry, over-states delta_all's rows,
-# which are real (8 bytes) and hold no output state.  Only chunk sizes
-# depend on it, never values, so one rule serves both samplers.
+# so no channel makes more calls than at a fixed 16.
+# The count leaves out the conjugate copy of the images that apply_fast
+# takes, so a delta_one_numeric call's arrays hold
+# 16 * out_dim * (2R + out_dim) bytes per state, up to twice the count:
+# one 16-state call peaked (tracemalloc) at 1.38-1.48 times it at
+# (4,1,5), (3,1,5), (4,1,4) and (3,1,20).  delta_all's rows are real
+# (8 bytes) and hold no output state: 0.59-0.90 times the count at those
+# sizes.  On the smallest channels a call's fixed temporaries outweigh
+# both: at (2,1,2), count 3,840 bytes, the peaks were 2.98 and 1.87
+# times it.  Only chunk sizes depend on the count, never values, so one
+# rule serves both samplers.
 _CHUNK = 16
 _CHUNK_BYTES = 2**20
 
@@ -317,10 +298,13 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     state a run of a few thousand samples draws, so such a run makes one
     draw call and a refinement call or two.  Only the five best, which
     refinement never scores below, outlive a chunk, so memory is bounded
-    by one chunk (its images and outputs fill at most _CHUNK_BYTES, or
-    are those of 16 states) plus the five best: it grows with samples up
-    to one chunk and not past it.  values maps amplitudes (B, d) to B
-    values.
+    by one chunk plus the five best: it grows with samples up to one
+    chunk and not past it.  A chunk's counted images and outputs fill at
+    most _CHUNK_BYTES, or are those of 16 states; delta_one_numeric's
+    calls also hold the images' conjugate copy, up to twice the count,
+    and delta_all_numeric's real rows less than it, past the smallest
+    channels (see _CHUNK_BYTES).
+    values maps amplitudes (B, d) to B values.
     Raises ValueError for samples < 1, before anything is drawn."""
     if samples < 1:
         raise ValueError("samples must be >= 1")

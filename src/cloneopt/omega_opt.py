@@ -10,6 +10,10 @@ determines the component's omega value exactly; its unique maximum at
 m = (M,0,...,0), mu = (N,0,...,0) (for N <= M) identifies the optimal
 cloner.  All values are exact rationals.
 
+The cloner's closed forms live here too, in pure Python: ClonerSpec,
+shrinking_factor and delta_one_closed_form, which cloneopt.cloner binds
+under the same names, so `cloner constants` runs without numpy.
+
 maximize_exact finds the maximum without listing labels: at fixed m,
 F2 has one maximizer, found in O(d), and the labels of m are counted,
 not listed.  maximize_brute lists every label (enumerate_W1's walk) and
@@ -27,10 +31,13 @@ from .tolerances import MAX_D, MAX_SITES
 __all__ = [
     "CandidatePoint",
     "OmegaReport",
+    "ClonerSpec",
     "f2",
     "omega_of_point",
     "gamma_from_omega",
     "delta_one_from_gamma",
+    "shrinking_factor",
+    "delta_one_closed_form",
     "enumerate_W1",
     "maximize_brute",
     "maximize_exact",
@@ -126,6 +133,35 @@ def gamma_from_omega(omega: Fraction, N: int, M: int) -> Fraction:
 
 def delta_one_from_gamma(gamma: Fraction, d: int) -> Fraction:
     return Fraction(d - 1, d) * abs(1 - gamma)
+
+
+@dataclass(frozen=True)
+class ClonerSpec:
+    """Problem sizes: d-level systems, N inputs, M >= N outputs."""
+
+    d: int
+    n_in: int
+    m_out: int
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if self.n_in < 1:
+            raise ValueError("N must be >= 1")
+        if self.m_out < self.n_in:
+            raise ValueError("M must be >= N")
+
+
+def shrinking_factor(spec: ClonerSpec) -> Fraction:
+    """Exact shrinking factor gamma = N(M+d)/(M(N+d)) of the optimal
+    cloner: gamma_from_omega at its omega, (M+d)/(N+d)."""
+    d, N, M = spec.d, spec.n_in, spec.m_out
+    return gamma_from_omega(Fraction(M + d, N + d), N, M)
+
+
+def delta_one_closed_form(spec: ClonerSpec) -> Fraction:
+    """Exact single-clone error (d-1)/d * |1 - shrinking factor|."""
+    return delta_one_from_gamma(shrinking_factor(spec), spec.d)
 
 
 def _partitions(M: int, d: int):

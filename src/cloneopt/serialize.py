@@ -6,14 +6,15 @@ Conventions: rationals as [numerator, denominator] in lowest terms,
 matrices as {"rows", "cols", "entries"} with row-major [re, im] pairs,
 occupation vectors and weights as plain integer arrays.  numpy is
 imported by matrix_to_json only, so the exact commands' output needs
-none.
+none.  Nothing from omega_opt is imported: OmegaReport is only an
+annotation here, so dims and rep load serialize without omega_opt, and
+only the commands that call omega_opt (omega, cloner constants, verify
+all and, through cloner, the matrix commands) load it.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-from .omega_opt import OmegaReport
 
 __all__ = [
     "fraction_pair",

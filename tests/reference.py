@@ -4,6 +4,7 @@ of this is reached by the CLI, the demos or the benchmark."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,6 +125,71 @@ def dense_cloner_output(spec: ClonerSpec, rho_sym: np.ndarray) -> np.ndarray:
     big = np.kron(rho_full, np.eye(d ** (M - N)))
     out_full = (sym_dimension(d, N) / sym_dimension(d, M)) * (S_m @ big @ S_m)
     return E_m.conj().T @ out_full @ E_m
+
+
+# --- the single-clone law of the optimal cloner, exact -------------------
+
+
+def occupations(d: int, N: int):
+    """The occupation vectors of N sites over d levels, as tuples, in pure
+    Python: the gaps between d - 1 bars placed among N + d - 1 slots."""
+    for bars in itertools.combinations(range(N + d - 1), d - 1):
+        edges = (-1,) + bars + (N + d - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def squared_kraus_weights(d: int, N: int, M: int):
+    """The optimal cloner's squared entries, exact: (coeff, rows), where
+    rows yields, per input occupation n, the triples (c, m, W) over the
+    occupations c of the M - N blank sites, with m = n + c and the int
+    W = prod_k binom(m_k, n_k).  The entry that maps n to m squares to
+    q_c(n) = coeff * W, coeff = d[N]/(d[M] binom(M, N))."""
+    coeff = Fraction(sym_dimension(d, N), sym_dimension(d, M) * math.comb(M, N))
+    blanks = list(occupations(d, M - N))
+
+    def rows():
+        for n in occupations(d, N):
+            ms = [(c, tuple(nk + ck for nk, ck in zip(n, c))) for c in blanks]
+            yield n, [(c, m, math.prod(map(math.comb, m, n))) for c, m in ms]
+
+    return coeff, rows()
+
+
+def single_clone_law_violations(d: int, N: int, M: int) -> list[tuple]:
+    """The identities T^*(dGamma_M(X)) = omega dGamma_N(X), omega =
+    (M+d)/(N+d), on the generators X of su(d), for the optimal cloner's
+    squared entries q_c(n), with m = n + c, per input occupation n:
+
+    - trace preservation: sum_c q_c(n) = 1;
+    - each hop E_ji (i != j, n_i >= 1): sum_c q_c(n) (m_j + 1)/(n_j + 1)
+      = omega, the ratio of <n'|T^*(dGamma_M(E_ji))|n> to
+      <n'|dGamma_N(E_ji)|n> with n' = n - e_i + e_j.  It does not depend
+      on i, so it is checked once per j that some hop reaches;
+    - each Cartan generator E_ii - E_(i+1)(i+1): sum_c q_c(n)
+      (m_i - m_(i+1)) = omega (n_i - n_(i+1)).
+
+    Together they give the single-clone law with gamma = omega N/M for
+    every pure input.  The sums are taken over the ints W of
+    squared_kraus_weights and scaled by its coeff, all in ints and
+    Fractions.  Returns (n, identity, value, expected) for each identity
+    that fails: an empty list when the law holds."""
+    omega = Fraction(M + d, N + d)
+    coeff, rows = squared_kraus_weights(d, N, M)
+    failed = []
+    for n, terms in rows:
+        identities = [("trace", coeff * sum(w for _, _, w in terms), 1)]
+        identities += [
+            (f"hop to {j}", coeff * sum(w * (m[j] + 1) for _, m, w in terms) / (n[j] + 1), omega)
+            for j in range(d) if n[j] < N
+        ]
+        identities += [
+            (f"cartan {i}", coeff * sum(w * (m[i] - m[i + 1]) for _, m, w in terms),
+             omega * (n[i] - n[i + 1]))
+            for i in range(d - 1)
+        ]
+        failed += [(n, name, value, expected) for name, value, expected in identities
+                   if value != expected]
+    return failed
 
 
 # --- test subjects and inputs ----------------------------------------------

@@ -244,6 +244,52 @@ def test_defect_twirl_stdout_digest_pinned():
     assert got == {argv: f"0 {digest}" for argv, digest in DEFECT_TWIRL_DIGESTS.items()}
 
 
+# sha256 of stdout, recorded while dims, rep and cloner constants still
+# imported omega_opt at start-up and cloner constants imported numpy
+EXACT_DIGESTS = {
+    ("cloner constants --d 2 --n 1 --m 2", "json"):
+        "8617beb17fd51d5ffaf762cf2b14082e76f79a74175932f5a78c1eb27bc38fd3",
+    ("cloner constants --d 2 --n 1 --m 2", "table"):
+        "0dba84089d4efc0005281491efaff74a9c6ebc6a47f9f05670bfac1ce177ef55",
+    ("cloner constants --d 3 --n 1 --m 4", "json"):
+        "78d1e3dd5c957345514dae1c92bb75a06f266f4af4c3303232ceb59100840b02",
+    ("cloner constants --d 3 --n 1 --m 4", "table"):
+        "774ab3f0c695d267ef59168440e611e2076355818915708d64880b5dfb3fb048",
+    ("cloner constants --d 4 --n 3 --m 3", "json"):
+        "ed582eab938b39b69f691edbe7191f9066b296fed9088af812a8ab60250ab431",
+    ("cloner constants --d 4 --n 3 --m 3", "table"):
+        "5661ddcdf60aaef8faa6ab94ab8a19a80c2265f25ffb8dfd08ca36ea4bf94751",
+    ("cloner constants --d 8 --n 64 --m 64", "json"):
+        "ed582eab938b39b69f691edbe7191f9066b296fed9088af812a8ab60250ab431",
+    ("cloner constants --d 8 --n 64 --m 64", "table"):
+        "5661ddcdf60aaef8faa6ab94ab8a19a80c2265f25ffb8dfd08ca36ea4bf94751",
+    ("dims --d 2 --n 1", "json"):
+        "7e2d74e0fe003042fc3db2f8095901ac2b21cd5aa4caf2d244c48ecb9aeefe9e",
+    ("dims --d 2 --n 1", "table"):
+        "ffe14c9896865ea832dcc24521c923d9ece8fcd238db395ab831a2ca0aed916c",
+    ("rep casimir --weight 2,1,0", "json"):
+        "090fb0495dd69c276c73ce84e070fc0dff9c99465c3be51b96354e67273c49f2",
+    ("rep casimir --weight 2,1,0", "table"):
+        "3555be0bae1bb3cf81bd2e7f9fb1e1e1487dd1812f153c748d742453841aeb2a",
+    ("omega point --weight 3,1,0 --mu 1,1,0", "json"):
+        "35869b1ffb0fb3b10cfe176da5c9ab0b5c2a59ce3eea6fddd5f3572e97e1ad9c",
+    ("omega point --weight 3,1,0 --mu 1,1,0", "table"):
+        "8bf07299227ffe29baafde058637d90c46d6c52107a459c65b2e479e0fd65f66",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", EXACT_DIGESTS)
+def test_exact_stdout_digest_pinned(argv, fmt):
+    code, out = capture(argv.split() + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_DIGESTS[argv, fmt]
+
+
+def test_cloner_constants_refuses_n_0(capsys):
+    assert run(["cloner", "constants", "--d", "2", "--n", "0", "--m", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: N must be >= 1\n")
+
+
 # sha256 of stdout at the default 2000 samples and seed 0, recorded while
 # each values() call of the sampler held at most 64 states
 @pytest.mark.parametrize("argv,digest", [

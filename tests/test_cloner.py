@@ -30,7 +30,13 @@ from cloneopt.cloner import Channel
 from cloneopt.tensor_core import _product_powers
 from cloneopt.tolerances import KRAUS_ENTRY_GUARD
 
-from reference import constant_output_channel, dense_cloner_output, occupation_index
+from reference import (
+    constant_output_channel,
+    dense_cloner_output,
+    occupation_index,
+    single_clone_law_violations,
+    squared_kraus_weights,
+)
 
 DESK_GRID = [
     (2, 1, 2),
@@ -124,6 +130,57 @@ KRAUS_LOOP_SIZES = [
 def test_optimal_cloner_matches_the_entry_loop():
     for d, N, M in KRAUS_LOOP_SIZES:
         assert np.array_equal(optimal_cloner(ClonerSpec(d, N, M)).kraus, loop_optimal_cloner(d, N, M))
+
+
+def kraus_entries(d, N, M):
+    return sym_dimension(d, M - N) * sym_dimension(d, M) * sym_dimension(d, N)
+
+
+# every triple of the CLI's range that the Kraus entry guard admits, and
+# its guard edges, the admitted (d, N, M) whose (d, N, M + 1) is refused;
+# at d = 2 the guard admits every triple, and the range ends at M = 64
+ADMITTED = [(d, N, M) for d in range(2, 9) for N in range(1, 65) for M in range(N, 65)
+            if kraus_entries(d, N, M) <= KRAUS_ENTRY_GUARD]
+EDGES = [(d, N, M) for d, N, M in ADMITTED
+         if M < 64 and kraus_entries(d, N, M + 1) > KRAUS_ENTRY_GUARD]
+
+
+def law_edges(d):
+    """d's guard edges at N = 1, at the largest N (there M = N) and where
+    the operators hold the most entries."""
+    edges = [e for e in EDGES if e[0] == d]
+    return {edges[0], edges[-1], max(edges, key=lambda e: kraus_entries(*e))}
+
+
+# the range ends at d = 2, the guard edges of each larger d, and a seeded
+# sample of the admitted triples
+LAW_SIZES = sorted({(2, 1, 64), (2, 63, 64)}.union(
+    *map(law_edges, range(3, 9)),
+    (ADMITTED[i] for i in np.random.default_rng(3).choice(len(ADMITTED), 10, replace=False)),
+))
+
+
+@pytest.mark.parametrize("d,N,M", LAW_SIZES)
+def test_single_clone_law_holds_exactly(d, N, M):
+    # the built cloner's squared weights satisfy T^*(dGamma_M(X)) = omega
+    # dGamma_N(X) on su(d) at omega = (M+d)/(N+d), in exact arithmetic, and
+    # the gamma the CLI prints is omega N/M
+    assert single_clone_law_violations(d, N, M) == []
+    assert shrinking_factor(ClonerSpec(d, N, M)) == Fraction(M + d, N + d) * Fraction(N, M)
+
+
+@pytest.mark.parametrize("d,N,M", LAW_SIZES)
+def test_kraus_entries_square_to_the_exact_weights(d, N, M):
+    kraus = optimal_cloner(ClonerSpec(d, N, M)).kraus
+    index_n, index_m = occupation_index(d, N), occupation_index(d, M)
+    index_c = occupation_index(d, M - N)
+    coeff, rows = squared_kraus_weights(d, N, M)
+    expected = np.zeros(kraus.shape)
+    for n, terms in rows:
+        for c, m, w in terms:
+            expected[index_c[c], index_m[m], index_n[n]] = float(coeff * w)
+    assert not kraus.imag.any()
+    np.testing.assert_array_max_ulp(kraus.real ** 2, expected, maxulp=4)
 
 
 @pytest.mark.parametrize("d,N,M", DESK_GRID)

@@ -1,6 +1,7 @@
 """What a cloneopt process loads: the package's exports resolve lazily,
-the exact commands run without numpy, and the CLI parses argv once, with
-the argparse tree of the one command it names."""
+each command loads its own set of cloneopt modules (dims and rep no
+omega_opt), the exact commands run without numpy, and the CLI parses
+argv once, with the argparse tree of the one command it names."""
 import io
 import json
 import os
@@ -58,18 +59,31 @@ def test_exports_are_not_cached(monkeypatch):
     assert cloneopt.maximize_brute is original
 
 
-# run in a fresh interpreter: per argv, its exit code and whether numpy
-# is loaded after it ran; the first line is for the package import alone
+# run in a fresh interpreter: the first line is for the package import
+# alone; then cloneopt.cli is imported and each argv runs in a forked
+# child, so its line holds what a process that runs only that argv loads.
+# A line is [exit code, whether numpy is loaded, the loaded cloneopt
+# submodules]
 LOADED_SCRIPT = """
-import io, json, sys
+import io, json, os, sys, traceback
 from contextlib import redirect_stdout
+def loaded(code):
+    names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cloneopt."))
+    print(json.dumps([code, "numpy" in sys.modules, names]), flush=True)
 import cloneopt
-print(json.dumps([None, "numpy" in sys.modules]))
+loaded(None)
 from cloneopt.cli import run
 for argv in sys.argv[1:]:
-    with redirect_stdout(io.StringIO()):
-        code = run(argv.split())
-    print(json.dumps([code, "numpy" in sys.modules]))
+    if os.fork() == 0:
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = run(argv.split())
+            loaded(code)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(0)
+    os.wait()
 """
 
 EXACT_ARGVS = [
@@ -84,21 +98,54 @@ EXACT_ARGVS = [
     "rep multiplicity --weight 2,1 --m 3",
     "rep multiplicity --weight 22,14,10,7,5,3,2,1 --m 64",
     "rep adjoint --d 3 --n 2",
+    "cloner constants --d 3 --n 1 --m 4",
 ]
+MATRIX_ARGVS = ["cloner marginal --d 3 --n 1 --m 4", "channel omega --d 2 --n 1 --m 2"]
+
+# the cloneopt submodules that a process running one command loads, by
+# the command's group or, for cloner, by group and subcommand
+CLI_ALONE = ["cli", "errors", "rep_theory", "serialize", "tolerances"]
+WITH_OMEGA = sorted(CLI_ALONE + ["omega_opt"])
+MODULES = {
+    "dims": CLI_ALONE,
+    "rep": CLI_ALONE,
+    "omega": WITH_OMEGA,
+    "cloner constants": WITH_OMEGA,
+    "cloner marginal": sorted(WITH_OMEGA + ["cloner", "tensor_core"]),
+    "channel": sorted(WITH_OMEGA + ["channels", "cloner", "tensor_core"]),
+}
 
 
-def test_exact_commands_run_without_numpy():
-    # the matrix commands still load it: the last argv is cloner marginal
+def expected_modules(argv):
+    words = argv.split()
+    return MODULES.get(words[0]) or MODULES[" ".join(words[:2])]
+
+
+@pytest.fixture(scope="module")
+def loaded_rows():
+    """LOADED_SCRIPT's lines for the package import, EXACT_ARGVS and MATRIX_ARGVS."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    argvs = EXACT_ARGVS + ["cloner marginal --d 3 --n 1 --m 4"]
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argvs],
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *EXACT_ARGVS, *MATRIX_ARGVS],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    # omega max answers past M = 30, to M = 64
-    assert rows[:-1] == [[None, False]] + [[0, False]] * len(EXACT_ARGVS)
-    assert rows[-1] == [0, True]
+    assert len(rows) == 1 + len(EXACT_ARGVS) + len(MATRIX_ARGVS), proc.stderr
+    return rows
+
+
+def test_exact_commands_run_without_numpy(loaded_rows):
+    # the matrix commands still load it; omega max answers past M = 30, to M = 64
+    assert [row[:2] for row in loaded_rows] == (
+        [[None, False]] + [[0, False]] * len(EXACT_ARGVS) + [[0, True]] * len(MATRIX_ARGVS))
+
+
+def test_each_command_loads_its_modules(loaded_rows):
+    # dims and rep load no omega_opt; omega, cloner constants and the
+    # matrix commands do
+    assert loaded_rows[0][2] == []
+    got = dict(zip(EXACT_ARGVS + MATRIX_ARGVS, (row[2] for row in loaded_rows[1:])))
+    assert got == {argv: expected_modules(argv) for argv in got}
 
 
 # a value each flag accepts, for an argv that parses
