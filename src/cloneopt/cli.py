@@ -2,8 +2,9 @@
 
 Every subcommand prints a single JSON document (or an aligned table with
 --format table) and uses the exit-code taxonomy: 0 success, 1 numeric
-failure, 2 usage error, 3 dimension-guard violation.  Identical argv and
-seed give byte-identical output.
+failure, 2 usage error, 3 dimension-guard violation.  A usage error is
+a ValueError, raised by the checks here or by the library.  Identical
+argv and seed give byte-identical output.
 
 A process loads what its command uses: omega_opt, numpy, tensor_core,
 cloner and channels are imported by the handlers that need them.  So
@@ -13,7 +14,7 @@ no numpy; the matrix commands (cloner apply|marginal|overlap, channel *,
 verify all) load numpy and, through cloner, omega_opt.  run() parses
 argv once, with the parser of the one command it names (the full parser
 when it names none).  A --state is one format: a JSON list of [re, im]
-pairs, inline or in a file.
+pairs, inline or in a file of at most 1 MiB.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import rep_theory as rt
 from . import serialize as se
@@ -33,9 +33,8 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-
-class UsageError(Exception):
-    pass
+# the longest --state file read, in bytes
+_STATE_FILE_BYTES = 2**20
 
 
 def _parse_spin(text: str) -> Fraction:
@@ -46,11 +45,13 @@ def _parse_spin(text: str) -> Fraction:
             raise ValueError("exponent notation")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse spin {text!r}") from exc
+        raise ValueError(f"cannot parse spin {text!r}") from exc
 
 
 def _parse_state(text: str, d: int):
-    """Pure-state amplitudes [[re, im], ...] from inline JSON or a file path."""
+    """Pure-state amplitudes [[re, im], ...] from inline JSON or a file
+    path; a file is read up to one byte past _STATE_FILE_BYTES, so an
+    endless one (/dev/zero) is refused at once."""
     import numpy as np
 
     from . import tensor_core as tc
@@ -58,17 +59,25 @@ def _parse_state(text: str, d: int):
     raw = text.strip()
     if not raw.startswith("["):
         try:
-            raw = Path(text).read_text()
+            with open(text, "rb") as file:
+                raw = file.read(_STATE_FILE_BYTES + 1)
         except OSError as exc:
-            raise UsageError(f"cannot read state file {text!r}: {exc.strerror}") from exc
+            raise ValueError(f"cannot read state file {text!r}: {exc.strerror}") from exc
+        if len(raw) > _STATE_FILE_BYTES:
+            raise ValueError(f"state file {text!r} holds more than {_STATE_FILE_BYTES} bytes")
+        raw = raw.decode()
     try:
-        amps = np.array([complex(re, im) for re, im in json.loads(raw)])
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise UsageError(f"cannot parse state {text!r}") from exc
+        pairs = json.loads(raw)
+        # complex() would take JSON's true and false as 1 and 0
+        if any(isinstance(part, bool) for pair in pairs for part in pair):
+            raise TypeError("boolean amplitude")
+        amps = np.array([complex(re, im) for re, im in pairs])
+    except (ValueError, OverflowError, TypeError, RecursionError) as exc:
+        raise ValueError(f"cannot parse state {text!r}") from exc
     if amps.shape[0] != d:
-        raise UsageError(f"state has {amps.shape[0]} amplitudes, expected {d}")
+        raise ValueError(f"state has {amps.shape[0]} amplitudes, expected {d}")
     if not (np.isfinite(amps).all() and amps.any()):
-        raise UsageError("state vector must be non-zero with finite amplitudes")
+        raise ValueError("state vector must be non-zero with finite amplitudes")
     with np.errstate(all="ignore"):
         psi = amps / np.linalg.norm(amps)
         normalized = abs(np.linalg.norm(psi) - 1) <= STATE_TOL
@@ -94,7 +103,7 @@ def _input_state(args):
 
 def _check_sites(name: str, count: int) -> None:
     if not 0 <= count <= MAX_SITES:
-        raise UsageError(f"{name} must be in [0, {MAX_SITES}], got {count}")
+        raise ValueError(f"{name} must be in [0, {MAX_SITES}], got {count}")
 
 
 def _check_ranges(args) -> None:
@@ -102,19 +111,19 @@ def _check_ranges(args) -> None:
     weight = getattr(args, "weight", None)
     d = len(weight.split(",")) if weight is not None else getattr(args, "d", None)
     if d is not None and not 2 <= d <= MAX_D:
-        raise UsageError(f"d must be in [2, {MAX_D}], got {d}")
+        raise ValueError(f"d must be in [2, {MAX_D}], got {d}")
     n = getattr(args, "n", None)
     if n is not None:
         _check_sites("N", n)
     for name, least in (("samples", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise UsageError(f"{name} must be >= {least}, got {value}")
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     m = getattr(args, "m", None)
     if m is not None:
         _check_sites("M", m)
         if n is not None and m < n:
-            raise UsageError(f"M = {m} must be >= N = {n}")
+            raise ValueError(f"M = {m} must be >= N = {n}")
 
 
 def _render(obj, fmt: str) -> str:
@@ -214,7 +223,7 @@ def _cmd_omega_point(args):
     try:
         mu = tuple(int(p.strip()) for p in args.mu.split(","))
     except ValueError as exc:
-        raise UsageError(f"cannot parse mu {args.mu!r}") from exc
+        raise ValueError(f"cannot parse mu {args.mu!r}") from exc
     d, N, M = len(m), sum(mu), sum(m)
     _check_sites("N", N)
     _check_sites("M", M)
@@ -483,9 +492,6 @@ def run(argv: list[str] | None = None) -> int:
         out, code = out if isinstance(out, tuple) else (out, EXIT_OK)
         # rendered before anything is written, so a refusal leaves stdout empty
         text = _render(out, fmt)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -3,11 +3,9 @@
 The optimal cloner maps a state rho on the N-fold symmetric input space
 to (d[N]/d[M]) S_M (rho x 1) S_M on the M-fold output space.  It is
 constructed here directly in the occupation bases; the dense
-construction on the full tensor space is the tests' oracle.
-
-ClonerSpec, shrinking_factor and delta_one_closed_form are pure Python
-and defined in omega_opt, next to gamma_from_omega; they are bound here
-too, under the same names.
+construction on the full tensor space is the tests' oracle.  The
+closed-form constants live in omega_opt, next to gamma_from_omega; of
+them only ClonerSpec is bound here too.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_limit
-from .omega_opt import ClonerSpec, delta_one_closed_form, shrinking_factor
+from .omega_opt import ClonerSpec
 from .rep_theory import sym_dimension
 from .tensor_core import (
     PureState,
@@ -34,8 +32,6 @@ __all__ = [
     "ClonerSpec",
     "Channel",
     "optimal_cloner",
-    "shrinking_factor",
-    "delta_one_closed_form",
     "single_clone_marginal",
     "all_clone_overlap",
     "delta_all_numeric",
@@ -198,13 +194,14 @@ def _factor_eigvalsh(rows: np.ndarray, negative: int = 0) -> np.ndarray:
     return np.linalg.eigvalsh((T * signs) @ np.swapaxes(T, -1, -2).conj())
 
 
-# Sampled states scored per values() call: as many as fit in _CHUNK_BYTES,
-# counting a chunk's stacked Kraus images and output states,
-# 16 * out_dim * (R + out_dim) bytes per state, and never fewer than
-# _CHUNK.  A small channel then scores a run of up to a few thousand
-# states in one call and pays the fixed numpy costs of a call once;
-# channels whose _CHUNK states already exceed the budget keep _CHUNK,
-# so no channel makes more calls than at a fixed 16.
+# States per values() call of the sampler, draws and refinement alike:
+# as many as fit in _CHUNK_BYTES, counting a call's stacked Kraus images
+# and output states, 16 * out_dim * (R + out_dim) bytes per state, and
+# never fewer than _CHUNK.  No call holds more than a chunk.  A small
+# channel then scores a run of up to a few thousand states in one call
+# and pays the fixed numpy costs of a call once; channels whose _CHUNK
+# states already exceed the budget keep _CHUNK, so no channel makes more
+# calls than at a fixed 16.
 # The count leaves out the conjugate copy of the images that apply_fast
 # takes, so a delta_one_numeric call's arrays hold
 # 16 * out_dim * (2R + out_dim) bytes per state, up to twice the count:
@@ -219,14 +216,10 @@ _CHUNK = 16
 _CHUNK_BYTES = 2**20
 
 
-def _states_in_budget(channel: Channel) -> int:
-    """States whose stacked Kraus images and output states fit in _CHUNK_BYTES."""
-    return _CHUNK_BYTES // (16 * channel.out_dim * (len(channel.kraus) + channel.out_dim))
-
-
 def _chunk_size(channel: Channel) -> int:
     """States the sampler scores per values() call for this channel."""
-    return max(_CHUNK, _states_in_budget(channel))
+    per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
+    return max(_CHUNK, _CHUNK_BYTES // per_state)
 
 
 def refine_supremum(
@@ -292,18 +285,16 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
     any longer run.  The other five seed the refinement chains of the
     five best states (ties in sample order), one child per rank; their
     scores go along, and refinement scores the chains' steps ahead in
-    calls of at most as many states as fit in _CHUNK_BYTES, or 5 in
-    lockstep, so no values() call of a run holds more states than a
-    chunk and its five chains.  A small channel's chunk holds every
-    state a run of a few thousand samples draws, so such a run makes one
-    draw call and a refinement call or two.  Only the five best, which
-    refinement never scores below, outlive a chunk, so memory is bounded
-    by one chunk plus the five best: it grows with samples up to one
-    chunk and not past it.  A chunk's counted images and outputs fill at
-    most _CHUNK_BYTES, or are those of 16 states; delta_one_numeric's
-    calls also hold the images' conjugate copy, up to twice the count,
-    and delta_all_numeric's real rows less than it, past the smallest
-    channels (see _CHUNK_BYTES).
+    calls of at most the same chunk size.  So no values() call of a run
+    holds more than a chunk.  A small channel's chunk holds every state a
+    run of a few thousand samples draws, so such a run makes one draw
+    call and a refinement call or two.  Only the five best, which
+    refinement never scores below, outlive a call, so memory is bounded
+    by one chunk plus the five best, whatever the number of samples.  A
+    chunk's counted images and outputs fill at most _CHUNK_BYTES, or are
+    those of 16 states; delta_one_numeric's calls also hold the images'
+    conjugate copy, up to twice the count, and delta_all_numeric's real
+    rows less than it, past the smallest channels (see _CHUNK_BYTES).
     values maps amplitudes (B, d) to B values.
     Raises ValueError for samples < 1, before anything is drawn."""
     if samples < 1:
@@ -323,13 +314,8 @@ def _sampled_supremum(values, channel: Channel, samples: int, seed: int) -> floa
         top_scores = np.concatenate([top_scores, scores])
         keep = np.argsort(-top_scores, kind="stable")[:5]
         top_states, top_scores = top_states[keep], top_scores[keep]
-    # Refinement scores ahead only within the byte budget.  Past it a
-    # call's fixed cost is small beside its work, and bigger temporaries
-    # are paged in afresh on every call: at (3, 1, 20), 15-state calls
-    # took 16 times the page faults of 5-state ones and 15% more time per
-    # state, so such channels refine in lockstep, 5 states per call.
     refined = refine_supremum(values, top_states, top_scores, chains[:len(top_states)],
-                              batch=_states_in_budget(channel))
+                              batch=chunk_size)
     return float(max(0.0, refined.max()))
 
 

@@ -579,8 +579,8 @@ def test_sampled_value_does_not_depend_on_chunk(monkeypatch):
     runs = [(channel, lambda: delta_one_numeric(channel, samples=37, seed=5)),
             (optimal_cloner(spec), lambda: delta_all_numeric(spec, samples=37, seed=5))]
     for subject, run in runs:
-        budget = cloner._states_in_budget(subject)
-        assert cloner._chunk_size(subject) == budget > 64
+        budget = cloner._chunk_size(subject)
+        assert budget > 64  # the byte rule, not the 16-state floor
         got = []
         # fixed chunk sizes, and the one the byte rule picks for this channel
         for chunk in (1, 7, 16, 64, budget):

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, JSON schema, exit codes, reproducibility."""
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from cloneopt import maximize_brute
+from cloneopt.channels import covariance_defect, delta_one_numeric, twirl_choi
 from cloneopt.cli import build_parser, run
 from cloneopt.serialize import (
     fraction_pair,
@@ -379,10 +382,11 @@ def test_choi_limit_is_fixed(argv, answer, capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(*argv, env=None):
+def run_child(*argv, env=None, timeout=10, preexec_fn=None):
     # a separate process, so that a run past the guard is killed at 10 s
-    # and every line it writes to stderr (warnings too) is seen; env adds
-    # variables to the child's environment.  Children run on one BLAS
+    # (or timeout) and every line it writes to stderr (warnings too) is
+    # seen; env adds variables to the child's environment, and preexec_fn
+    # runs in the child before it starts.  Children run on one BLAS
     # thread, so their time does not depend on how busy the other cores
     # are: on 2 cores the (3, 1, 33) defect edge took 1.9 s idle and
     # 4.9 s beside one busy process with default threads, 2.5-3.0 s in
@@ -392,7 +396,7 @@ def run_child(*argv, env=None):
                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
         [sys.executable, *map(str, argv)],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -513,6 +517,10 @@ def test_state_at_the_ends_of_the_float_range_answers(state, same_as):
 @pytest.mark.parametrize("state", [
     "[[1,0,0],[0,0]]", "[[1]]",
     pytest.param("[[1" + "0" * 400 + ",0],[0,0]]", id="401-digit-int"),  # no float holds it
+    # past json's recursion limit: a RecursionError, once a traceback and exit 1
+    pytest.param("[" * 100_000, id="nested-100000"),
+    # JSON booleans, once read as the numbers 1 and 0
+    "[[true,0],[0,0]]", "[[1,0],[0,false]]",
 ])
 def test_malformed_state_pair_exits_2(state, capsys):
     code = run(["cloner", "marginal", "--d", "2", "--n", "1", "--m", "2", "--state", state])
@@ -548,6 +556,28 @@ def test_unreadable_state_path_exits_2(sub, kind, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read state file '{state}': ")
     assert captured.err.count("\n") == 1
+
+
+def cap_address_space():
+    # 1 GiB of address space, so that a child reading without bound fails
+    # at once instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("kind", ["endless", "oversize"])
+def test_state_file_past_one_mib_exits_2(kind, tmp_path):
+    # the file is read up to one byte past the limit: /dev/zero, once read
+    # to its end, grew until a MemoryError
+    path = Path("/dev/zero") if kind == "endless" else tmp_path / "state.json"
+    if kind == "oversize":
+        path.write_text("[[1,0],[0,0]]" + " " * 2**20)
+    elif not path.exists():
+        pytest.skip("no /dev/zero")
+    proc = run_child("-m", "cloneopt.cli", "cloner", "marginal", "--d", 2, "--n", 1, "--m", 2,
+                     "--state", path, timeout=5, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: state file '{path}' holds more than 1048576 bytes\n"
 
 
 def test_spin_exponent_exits_2_at_once():
@@ -746,6 +776,14 @@ def test_cli_surface_is_pinned():
     }
     assert list(surface) == list(CLI_SURFACE)
     assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("sub,estimate", [("twirl", twirl_choi), ("defect", covariance_defect),
+                                          ("delta-one", delta_one_numeric)])
+def test_sample_defaults_are_the_library_defaults(sub, estimate):
+    # the CLI rows repeat each estimator's default; neither may drift alone
+    args = build_parser().parse_args(["channel", sub, "--d", "2", "--n", "1", "--m", "2"])
+    assert args.samples == inspect.signature(estimate).parameters["samples"].default
 
 
 @pytest.mark.parametrize("command", CLI_SURFACE)

@@ -523,7 +523,6 @@ def test_sampler_chunk_fits_the_byte_budget(d, N, M):
     per_state = 16 * channel.out_dim * (len(channel.kraus) + channel.out_dim)
     chunk = cloner._chunk_size(channel)
     assert chunk == max(16, cloner._CHUNK_BYTES // per_state)
-    assert chunk == max(16, cloner._states_in_budget(channel))
     if chunk > 16:
         assert chunk * per_state <= cloner._CHUNK_BYTES < (chunk + 1) * per_state
     if (d, N, M) in [(8, 1, 4), (4, 5, 9)]:
@@ -593,14 +592,41 @@ def test_sampler_calls_hold_at_most_a_chunk(d, N, M, monkeypatch):
         return kraus_images(self, v)
 
     monkeypatch.setattr(cloner.Channel, "kraus_images", counting)
-    # a full chunk and five chains; then one chain, which scores the most
-    # steps ahead per call where the byte budget allows it, and keeps
-    # delta_all cheap at d = 8
+    # a full chunk and five chains; then one chain, which scores up to a
+    # chunk of steps ahead per call, and keeps delta_all cheap at d = 8
     delta_one_numeric(channel, samples=chunk, seed=2)
-    # refinement scores ahead only within the byte budget; past it the
-    # chains go in lockstep, 5 states per call
-    assert max(sizes[1:]) <= max(min(chunk, cloner._states_in_budget(channel)), 5)
+    assert max(sizes[1:]) <= chunk
+    if (d, N, M) == (8, 1, 4):
+        # past the byte budget refinement still scores steps ahead, 3 of
+        # each of the five chains in its first 16-state call
+        assert max(sizes[1:]) > 5
     delta_all_numeric(ClonerSpec(d, N, M), samples=1, seed=2)
     assert max(sizes) == max(chunk, 5)
     # sampling makes one call per run, refinement at most 20
     assert len(sizes) <= 2 * (1 + 20)
+
+
+# 50-sample suprema, recorded before refinement took its calls' size from
+# _chunk_size: refinement takes the same steps whatever its batch, so the
+# values are bit for bit those of the refinement sized by the byte budget
+# alone (in lockstep at (8,1,4) and (4,5,9); 12 states a call at (4,1,5))
+SAMPLED_SUPREMA_HEX = {
+    (4, 1, 5): [("0x1.eb851eb851ebep-2", "0x1.db6db6db6db7ep+0"),
+                ("0x1.eb851eb851ec0p-2", "0x1.db6db6db6db7bp+0"),
+                ("0x1.eb851eb851ebcp-2", "0x1.db6db6db6db7cp+0")],
+    (8, 1, 4): [("0x1.2aaaaaaaaaaaep-1", "0x1.f3967f3967f46p+0"),
+                ("0x1.2aaaaaaaaaaaep-1", "0x1.f3967f3967f46p+0"),
+                ("0x1.2aaaaaaaaaaafp-1", "0x1.f3967f3967f49p+0")],
+    (4, 5, 9): [("0x1.2f684bda12f75p-3", "0x1.7dac37dac37f8p+0"),
+                ("0x1.2f684bda12f75p-3", "0x1.7dac37dac37f2p+0"),
+                ("0x1.2f684bda12f73p-3", "0x1.7dac37dac37f6p+0")],
+}
+
+
+@pytest.mark.parametrize("d,N,M", SAMPLED_SUPREMA_HEX)
+def test_sampled_suprema_pinned(d, N, M):
+    spec = ClonerSpec(d, N, M)
+    channel = optimal_cloner(spec)
+    got = [(delta_one_numeric(channel, samples=50, seed=seed).hex(),
+            delta_all_numeric(spec, samples=50, seed=seed).hex()) for seed in range(3)]
+    assert got == SAMPLED_SUPREMA_HEX[d, N, M]

@@ -2,9 +2,11 @@
 unreferenced private module-level function or class, no public one that
 only the tests read, no unreferenced method, no exported name that only
 its own module reads, no constant of
-cloneopt.tolerances that no other module reads, no unbounded cache, and
-no DimensionGuardError raised outside errors.check_limit."""
+cloneopt.tolerances that no other module reads, no unbounded cache, no
+DimensionGuardError raised outside errors.check_limit, and no exception
+class defined outside errors.py."""
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -247,3 +249,37 @@ def test_only_check_limit_raises_a_guard():
     ]
     assert all(guard_raises(ast.parse(s)) for s in samples)
     assert not guard_raises(ast.parse("check_limit('side', side, limit)\nraise ValueError('x')"))
+
+
+def exception_classes(tree):
+    """Classes defined on a base that is an exception: a builtin one, or a
+    name ending in Error or Exception."""
+    def is_exception(base):
+        name = getattr(base, "id", getattr(base, "attr", ""))
+        builtin = getattr(builtins, name, None)
+        return name.endswith(("Error", "Exception")) or (
+            isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_exception, node.bases))]
+
+
+def test_only_errors_defines_exceptions():
+    # one refusal type per meaning: the CLI turns a ValueError into exit 2
+    # and the errors classes into exits 1 and 3, so no module keeps its own
+    found = [
+        f"{path.name}::{name}"
+        for path in SOURCES
+        if path.name != "errors.py"
+        for name in exception_classes(ast.parse(path.read_text()))
+    ]
+    assert not found, f"exception classes outside errors.py: {found}"
+    samples = [
+        "class UsageError(Exception):\n    pass",
+        "class Stop(StopIteration): pass",
+        "class Bad(errors.CloneOptError): pass",
+        "class Refused(ValueError): pass",
+    ]
+    assert all(exception_classes(ast.parse(s)) for s in samples)
+    assert not exception_classes(ast.parse("class Spec(tuple): pass\nclass Channel: pass"))
+    assert exception_classes(ast.parse((PACKAGE / "errors.py").read_text()))
