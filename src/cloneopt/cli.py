@@ -15,11 +15,23 @@ verify all) load numpy and, through cloner, omega_opt.  run() parses
 argv once, with the parser of the one command it names (the full parser
 when it names none).  A --state is one format: a JSON list of [re, im]
 pairs, inline or in a file of at most 1 MiB.
+
+The process entry, main(), freezes the cyclic garbage collector's
+objects twice: before run(), so the collections that the handlers'
+imports trigger do not walk start-up's objects, and after it, so the
+interpreter's final collections walk nothing.  None of those objects is
+garbage.  The collector stays enabled between the two, so cycles that a
+long command makes are still collected; run(), the in-process API,
+never touches gc.  A reader that closes stdout early gets no traceback:
+stdout is pointed at os.devnull, stderr stays empty and the exit code is
+the command's own.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -65,8 +77,10 @@ def _parse_state(text: str, d: int):
             raise ValueError(f"cannot read state file {text!r}: {exc.strerror}") from exc
         if len(raw) > _STATE_FILE_BYTES:
             raise ValueError(f"state file {text!r} holds more than {_STATE_FILE_BYTES} bytes")
-        raw = raw.decode()
     try:
+        # a file's bytes that are not UTF-8 are a state that does not parse
+        if isinstance(raw, bytes):
+            raw = raw.decode()
         pairs = json.loads(raw)
         # complex() would take JSON's true and false as 1 and 0
         if any(isinstance(part, bool) for pair in pairs for part in pair):
@@ -501,12 +515,31 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
     return code
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull once its reader has closed the pipe, so
+    what is still buffered, flushed at exit, goes nowhere without an error
+    (the SIGPIPE recipe of Python's signal docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main() -> None:
-    sys.exit(run())
+    gc.freeze()
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -382,11 +382,12 @@ def test_choi_limit_is_fixed(argv, answer, capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(*argv, env=None, timeout=10, preexec_fn=None):
+def run_child(*argv, env=None, timeout=10, preexec_fn=None, stdout=subprocess.PIPE):
     # a separate process, so that a run past the guard is killed at 10 s
     # (or timeout) and every line it writes to stderr (warnings too) is
-    # seen; env adds variables to the child's environment, and preexec_fn
-    # runs in the child before it starts.  Children run on one BLAS
+    # seen; env adds variables to the child's environment, preexec_fn
+    # runs in the child before it starts, and stdout is where its stdout
+    # goes (captured by default).  Children run on one BLAS
     # thread, so their time does not depend on how busy the other cores
     # are: on 2 cores the (3, 1, 33) defect edge took 1.9 s idle and
     # 4.9 s beside one busy process with default threads, 2.5-3.0 s in
@@ -395,8 +396,8 @@ def run_child(*argv, env=None, timeout=10, preexec_fn=None):
            "PYTHONPATH": os.pathsep.join(
                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, *map(str, argv)],
-        capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=preexec_fn,
+        [sys.executable, *map(str, argv)], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=timeout, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -521,8 +522,14 @@ def test_state_at_the_ends_of_the_float_range_answers(state, same_as):
     pytest.param("[" * 100_000, id="nested-100000"),
     # JSON booleans, once read as the numbers 1 and 0
     "[[true,0],[0,0]]", "[[1,0],[0,false]]",
+    # bytes are a state file's: one that is not UTF-8 once printed the codec's message
+    pytest.param(b"\xff\xfe[[1,0],[0,0]]", id="non-utf-8-file"),
 ])
-def test_malformed_state_pair_exits_2(state, capsys):
+def test_malformed_state_pair_exits_2(state, tmp_path, capsys):
+    if isinstance(state, bytes):
+        path = tmp_path / "state.json"
+        path.write_bytes(state)
+        state = str(path)
     code = run(["cloner", "marginal", "--d", "2", "--n", "1", "--m", "2", "--state", state])
     captured = capsys.readouterr()
     assert code == 2
@@ -578,6 +585,38 @@ def test_state_file_past_one_mib_exits_2(kind, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: state file '{path}' holds more than 1048576 bytes\n"
+
+
+# a large answer in both formats, a verify report and a refusal: a
+# python -m cloneopt.cli child prints every byte that run() prints
+@pytest.mark.parametrize("argv", [
+    "cloner apply --d 5 --n 2 --m 6", "cloner apply --d 5 --n 2 --m 6 --format table",
+    "verify all --d 3 --n 1 --m 5", "cloner apply --d 3 --n 1 --m 34",
+])
+def test_child_prints_what_run_prints(argv):
+    proc = run_child("-m", "cloneopt.cli", *argv.split())
+    assert (proc.returncode, proc.stdout) == capture(argv.split())
+
+
+# a reader that is gone before the child writes: once a BrokenPipeError
+# traceback and exit 1 on an unbuffered stdout, and "Exception ignored"
+# and exit 120 on a buffered one (--help too)
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,code,err", [
+    ("dims --d 2 --n 1", 0, ""),
+    ("cloner apply --d 5 --n 2 --m 6", 0, ""),
+    ("--help", 0, ""),
+    ("dims --d 1 --n 1", 2, "error: d must be in [2, 8], got 1\n"),
+])
+def test_closed_stdout_exits_with_the_commands_code(argv, code, err, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_child("-m", "cloneopt.cli", *argv.split(), stdout=write,
+                         env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_spin_exponent_exits_2_at_once():

@@ -3,8 +3,9 @@ unreferenced private module-level function or class, no public one that
 only the tests read, no unreferenced method, no exported name that only
 its own module reads, no constant of
 cloneopt.tolerances that no other module reads, no unbounded cache, no
-DimensionGuardError raised outside errors.check_limit, and no exception
-class defined outside errors.py."""
+DimensionGuardError raised outside errors.check_limit, no exception
+class defined outside errors.py, no gc import outside cli.py and no
+gc.disable anywhere."""
 import ast
 import builtins
 from pathlib import Path
@@ -283,3 +284,43 @@ def test_only_errors_defines_exceptions():
     assert all(exception_classes(ast.parse(s)) for s in samples)
     assert not exception_classes(ast.parse("class Spec(tuple): pass\nclass Channel: pass"))
     assert exception_classes(ast.parse((PACKAGE / "errors.py").read_text()))
+
+
+def gc_imports(tree):
+    """Lines that import the gc module or a name from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "gc")]
+
+
+def gc_disables(tree):
+    """Lines that read gc.disable or import disable from gc."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "disable"
+                and getattr(node.value, "id", None) == "gc")
+            or (isinstance(node, ast.ImportFrom) and node.module == "gc"
+                and any(a.name == "disable" for a in node.names))]
+
+
+def test_only_cli_touches_the_collector():
+    # cli.main freezes the collector at start and before exit; a disabled
+    # collector would never free the cycles a long command makes
+    imports = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "cli.py"
+        for line in gc_imports(ast.parse(path.read_text()))
+    ]
+    assert not imports, f"gc imported outside cli.py: {imports}"
+    disables = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in SOURCES + DEMOS + TESTS
+        for line in gc_disables(ast.parse(path.read_text()))
+    ]
+    assert not disables, f"gc.disable read: {disables}"
+    assert gc_imports(ast.parse((PACKAGE / "cli.py").read_text()))
+    assert all(gc_imports(ast.parse(s)) for s in ["import gc", "import os, gc as g",
+                                                  "from gc import freeze"])
+    assert all(gc_disables(ast.parse(s)) for s in ["gc.disable()", "from gc import disable",
+                                                   "off = gc.disable"])
+    assert not gc_disables(ast.parse("gc.freeze()\ngc.enable()\nself.disable()"))
